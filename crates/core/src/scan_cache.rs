@@ -60,11 +60,25 @@ impl HashIndex {
         }
     }
 
-    /// Moves an entry from `old` to `new` without rehashing when the
-    /// content was copied verbatim (VUsion's re-randomization).
+    /// Re-keys `old`'s entry to `new` (VUsion's re-randomization). When
+    /// the content moved verbatim the hash multiset is unchanged and only
+    /// the entry moves; if `old` changed since it was indexed (a Rowhammer
+    /// flip), this is a plain remove-then-insert.
     pub(crate) fn replace_frame(&mut self, mem: &PhysMemory, old: FrameId, new: FrameId) {
-        self.remove(old);
-        self.insert(mem, new);
+        let hash = mem.hash_page(new);
+        match self.by_frame.remove(&old) {
+            Some((recorded, _)) if recorded == hash => {
+                let gen = mem.info(new).write_gen;
+                if let Some((prev, _)) = self.by_frame.insert(new, (hash, gen)) {
+                    Self::unbump(&mut self.counts, prev);
+                }
+            }
+            Some((recorded, _)) => {
+                Self::unbump(&mut self.counts, recorded);
+                self.insert(mem, new);
+            }
+            None => self.insert(mem, new),
+        }
     }
 
     /// Drops everything (tree cleared or rebuilt).
@@ -365,6 +379,52 @@ mod tests {
         );
         ix.remove(FrameId(1));
         assert!(!ix.may_contain(&mem, FrameId(2)));
+    }
+
+    /// The hash multiset `counts` must always equal the one derived from
+    /// the per-frame entries.
+    fn assert_counts_derived(ix: &HashIndex) {
+        let mut rebuilt = BTreeMap::new();
+        for &(hash, _) in ix.by_frame.values() {
+            HashIndex::bump(&mut rebuilt, hash);
+        }
+        assert_eq!(ix.counts, rebuilt, "hash multiset drifted from by_frame");
+    }
+
+    #[test]
+    fn replace_frame_keeps_the_hash_multiset_exact() {
+        let mut mem = PhysMemory::new(6);
+        for f in 0..3u64 {
+            mem.write_byte(PhysAddr(f * 4096), 7 + f as u8);
+        }
+        mem.write_byte(PhysAddr(5 * 4096), 7); // same content as frame 0
+        let mut ix = HashIndex::default();
+        for f in [0, 1, 2, 5] {
+            ix.insert(&mem, FrameId(f));
+        }
+
+        // Verbatim move, as re-randomization does it.
+        mem.move_page(FrameId(0), FrameId(3));
+        ix.replace_frame(&mem, FrameId(0), FrameId(3));
+        assert_counts_derived(&ix);
+        assert!(ix.stale_frames(&mem).is_empty());
+        assert_eq!(ix.by_frame.len(), 4);
+
+        // The old frame was flipped after it was indexed: the stale hash
+        // must leave the multiset, the new content's hash enter it.
+        mem.flip_bit(PhysAddr(4096), 3);
+        mem.copy_page(FrameId(1), FrameId(4));
+        ix.replace_frame(&mem, FrameId(1), FrameId(4));
+        assert_counts_derived(&ix);
+        assert!(ix.may_contain(&mem, FrameId(4)));
+        assert!(ix.stale_frames(&mem).is_empty());
+
+        // Moving onto a frame that is itself indexed replaces its entry.
+        mem.copy_page(FrameId(2), FrameId(5));
+        ix.replace_frame(&mem, FrameId(2), FrameId(5));
+        assert_counts_derived(&ix);
+        assert_eq!(ix.by_frame.len(), 3);
+        assert!(ix.stale_frames(&mem).is_empty());
     }
 
     #[test]

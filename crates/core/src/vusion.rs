@@ -43,6 +43,38 @@ use crate::scan_cache::{CandidateCache, HashIndex};
 use crate::shard::{self, ShardRunner};
 use crate::TagCounts;
 
+/// A set of frames, one bit per frame number.
+#[derive(Default)]
+struct FrameSet {
+    words: Vec<u64>,
+}
+
+impl FrameSet {
+    fn slot(frame: FrameId) -> (usize, u64) {
+        ((frame.0 / 64) as usize, 1 << (frame.0 % 64))
+    }
+
+    fn contains(&self, frame: FrameId) -> bool {
+        let (word, bit) = Self::slot(frame);
+        self.words.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    fn insert(&mut self, frame: FrameId) {
+        let (word, bit) = Self::slot(frame);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= bit;
+    }
+
+    fn remove(&mut self, frame: FrameId) {
+        let (word, bit) = Self::slot(frame);
+        if let Some(w) = self.words.get_mut(word) {
+            *w &= !bit;
+        }
+    }
+}
+
 /// VUsion tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct VUsionConfig {
@@ -138,9 +170,9 @@ pub struct VUsion {
     /// The single content tree (no unstable tree — §7.1 decision i).
     /// Value: the mappings sharing the node's frame.
     tree: ContentRbTree<Vec<(Pid, VirtAddr)>>,
-    /// Reverse map: tree frame → node.
-    // vlint: allow(S001, derived reverse map — rebuilt from the content tree in load)
-    tree_index: BTreeMap<FrameId, NodeId>,
+    /// Frames currently backing a tree node.
+    // vlint: allow(S001, derived frame set — rebuilt from the content tree in load)
+    tree_index: FrameSet,
     /// Content-hash filter over the tree pages (wall-clock only).
     tree_hashes: HashIndex,
     /// Cached mergeable-page list, invalidated by the layout epoch.
@@ -178,7 +210,7 @@ impl VUsion {
         Self {
             cfg,
             tree: ContentRbTree::new(),
-            tree_index: BTreeMap::new(),
+            tree_index: FrameSet::default(),
             tree_hashes: HashIndex::default(),
             candidates: CandidateCache::default(),
             page_state: BTreeMap::new(),
@@ -259,8 +291,13 @@ impl VUsion {
 
     /// Returns a dead (refcount 0, still `Allocated`) frame to the pool.
     fn ra_release(&mut self, m: &mut Machine, frame: FrameId) {
-        m.mem_mut().info_mut(frame).on_free();
         m.mem_mut().zero_page(frame);
+        self.ra_release_zeroed(m, frame);
+    }
+
+    /// [`Self::ra_release`] for a frame whose content is already zeroed.
+    fn ra_release_zeroed(&mut self, m: &mut Machine, frame: FrameId) {
+        m.mem_mut().info_mut(frame).on_free();
         let _ = self.pool.free_random(frame, m.buddy_mut());
     }
 
@@ -388,7 +425,7 @@ impl VUsion {
             return;
         }
         let frame = leaf.pte.frame();
-        if self.tree_index.contains_key(&frame) {
+        if self.tree_index.contains(frame) {
             return; // This frame already backs a tree page elsewhere.
         }
         // Accounting guard, as in KSM: sole mapping (+ cache ref for file).
@@ -467,7 +504,7 @@ impl VUsion {
                     .tree
                     .insert(new, vec![(pid, va)], |a, b| mem.compare_pages(a, b));
                 debug_assert!(inserted, "tree had no match a moment ago");
-                self.tree_index.insert(new, node);
+                self.tree_index.insert(new);
                 self.tree_hashes.insert(m.mem(), new);
                 self.page_state.insert((pid.0, va.page()), node);
                 self.release_candidate(m, pid, va, frame);
@@ -507,7 +544,7 @@ impl VUsion {
             // closes.
             if died {
                 self.tree.remove(node);
-                self.tree_index.remove(&shared);
+                self.tree_index.remove(shared);
                 self.tree_hashes.remove(shared);
                 self.ra_release(m, shared);
             }
@@ -515,7 +552,7 @@ impl VUsion {
             // Last user: the frame itself dies — but through the deferred
             // queue, so the fault path cost is identical (decision ii).
             self.tree.remove(node);
-            self.tree_index.remove(&shared);
+            self.tree_index.remove(shared);
             self.tree_hashes.remove(shared);
             self.deferred.push_free(shared);
         } else {
@@ -647,7 +684,6 @@ impl VUsion {
                 m.note_scan_retry();
                 continue;
             };
-            m.mem_mut().copy_page(old, new);
             // Transfer one reference per mapping.
             for _ in 1..mappings.len() {
                 m.mem_mut().info_mut(new).get();
@@ -668,7 +704,11 @@ impl VUsion {
             }
             if !all_moved {
                 // A mapping vanished mid-transfer: point everything back at
-                // the old frame and give the new one back.
+                // the old frame and give the new one back. The copy gives
+                // `new` the same write-generation history as a completed
+                // transfer would have, so snapshots do not depend on
+                // which path ran.
+                m.mem_mut().copy_page(old, new);
                 for &(pid, va) in &moved {
                     if let Some(leaf) = m.leaf(pid, va) {
                         let _ = m.set_leaf(pid, va, leaf.pte.with_frame(old));
@@ -683,16 +723,19 @@ impl VUsion {
                 m.note_scan_retry();
                 continue;
             }
+            // Every mapping now points at `new`: hand it the content and
+            // leave `old` zeroed for the pool.
+            m.mem_mut().move_page(old, new);
             for _ in 0..mappings.len() {
                 m.mem_mut().info_mut(old).put();
             }
             self.tree.set_frame(node, new);
-            self.tree_index.remove(&old);
-            self.tree_index.insert(new, node);
-            // `copy_page` seeded the new frame's hash cache from the old
+            self.tree_index.remove(old);
+            self.tree_index.insert(new);
+            // `move_page` seeded the new frame's hash cache from the old
             // frame's, so this re-index is a cache hit, not a re-hash.
             self.tree_hashes.replace_frame(m.mem(), old, new);
-            self.ra_release(m, old);
+            self.ra_release_zeroed(m, old);
             let costs = m.costs();
             m.scan_cost(costs.copy_page + costs.pte_update);
             self.stats.rerandomized += 1;
@@ -783,14 +826,12 @@ impl vusion_snapshot::Snapshot for VUsion {
             }
             Ok(mappings)
         })?;
-        // Slot-exact tree restore keeps NodeIds valid, so both reverse
-        // maps can be rebuilt (tree_index) or reloaded (page_state).
-        self.tree_index = self
-            .tree
-            .ids()
-            .into_iter()
-            .map(|id| (self.tree.frame(id), id))
-            .collect();
+        // Slot-exact tree restore keeps NodeIds valid, so page_state
+        // reloads verbatim; tree_index is rebuilt from the tree.
+        self.tree_index = FrameSet::default();
+        for id in self.tree.ids() {
+            self.tree_index.insert(self.tree.frame(id));
+        }
         self.tree_hashes = HashIndex::load(r)?;
         self.candidates = CandidateCache::load(r)?;
         let pages = r.usize()?;

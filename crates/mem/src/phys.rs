@@ -330,12 +330,15 @@ impl PhysMemory {
         let di = self.idx(dst);
         self.data[di] = self.data[si].clone();
         self.touch(di);
-        // The destination now holds exactly the source's bytes, so any
-        // still-valid memoized value of the source seeds the destination
-        // at its fresh generation (VUsion's fake merging and
-        // re-randomization copy pages constantly).
-        let sc = self.cache[si].get();
-        let sgen = self.info[si].write_gen;
+        // VUsion's fake merging copies pages constantly: the source's
+        // memo carries over instead of being recomputed.
+        self.inherit_cache(di, self.cache[si].get(), self.info[si].write_gen);
+    }
+
+    /// Seeds frame `di`'s memo at its current generation with the values
+    /// of `sc` that were valid at generation `sgen` — `di` now holds
+    /// exactly the bytes `sc` described.
+    fn inherit_cache(&self, di: usize, sc: FrameCache, sgen: u64) {
         let dgen = self.info[di].write_gen;
         let mut dc = FrameCache::default();
         if sc.hash_valid && sc.hash_gen == sgen {
@@ -349,6 +352,21 @@ impl PhysMemory {
             dc.zero_valid = true;
         }
         self.cache[di].set(dc);
+    }
+
+    /// Moves the content of `src` into `dst` and leaves `src` zeroed:
+    /// observably `copy_page(src, dst)` followed by `zero_page(src)` —
+    /// same bytes, same memoized values, each frame's write generation
+    /// bumped once — but the page buffer changes owner instead of being
+    /// duplicated and dropped (VUsion's per-round re-randomization).
+    pub fn move_page(&mut self, src: FrameId, dst: FrameId) {
+        let si = self.idx(src);
+        let di = self.idx(dst);
+        let (sc, sgen) = (self.cache[si].get(), self.info[si].write_gen);
+        self.data[di] = self.data[si].take();
+        self.touch(di);
+        self.inherit_cache(di, sc, sgen);
+        self.zero_page(src);
     }
 
     /// Zeroes a frame (demand-zero allocation path).

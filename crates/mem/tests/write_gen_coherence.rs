@@ -68,6 +68,10 @@ fn every_public_mutator_keeps_hashes_coherent() {
     assert_coherent(&m, "flip_bit");
     warm(&m);
 
+    m.move_page(FrameId(3), FrameId(1));
+    assert_coherent(&m, "move_page");
+    warm(&m);
+
     m.zero_page(FrameId(2));
     assert_coherent(&m, "zero_page");
 
@@ -115,5 +119,58 @@ fn snapshot_restore_drops_every_memoized_value() {
             fresh.hash_page(f),
             "hash diverged on frame {i}"
         );
+    }
+}
+
+/// `move_page(src, dst)` must be observably identical to
+/// `copy_page(src, dst)` + `zero_page(src)`: bytes, write generations,
+/// hashes and zero bits of both frames — whether or not the source's memo
+/// was warm, and for materialized as well as lazily-zero sources.
+#[test]
+fn move_page_equals_copy_then_zero() {
+    let cases: [(&str, Option<[u8; PAGE_SIZE as usize]>, bool); 4] = [
+        ("warm content", Some(page(0x42)), true),
+        ("cold content", Some(page(0x17)), false),
+        ("warm zero", None, true),
+        ("cold zero", None, false),
+    ];
+    for (ctx, src_content, warm_first) in cases {
+        let mut moved = PhysMemory::new(FRAMES);
+        let mut copied = PhysMemory::new(FRAMES);
+        for m in [&mut moved, &mut copied] {
+            if let Some(p) = &src_content {
+                m.write_page(FrameId(0), p);
+            }
+            // A destination with prior content and a warm memo.
+            m.write_page(FrameId(1), &page(0x99));
+            if warm_first {
+                warm(m);
+            } else {
+                let _ = m.hash_page(FrameId(1));
+            }
+        }
+        moved.move_page(FrameId(0), FrameId(1));
+        copied.copy_page(FrameId(0), FrameId(1));
+        copied.zero_page(FrameId(0));
+        for i in 0..FRAMES {
+            let f = FrameId(i as u64);
+            assert_eq!(moved.page(f), copied.page(f), "{ctx}: bytes of frame {i}");
+            assert_eq!(
+                moved.info(f).write_gen,
+                copied.info(f).write_gen,
+                "{ctx}: write_gen of frame {i}"
+            );
+            assert_eq!(
+                moved.hash_page(f),
+                copied.hash_page(f),
+                "{ctx}: hash of frame {i}"
+            );
+            assert_eq!(
+                moved.is_zero(f),
+                copied.is_zero(f),
+                "{ctx}: zero bit of frame {i}"
+            );
+        }
+        assert_coherent(&moved, ctx);
     }
 }

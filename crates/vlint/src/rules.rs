@@ -292,8 +292,37 @@ pub(crate) fn write_gen(ws: &WorkspaceCtx<'_, '_>, out: &mut Vec<Finding>) {
 
 const NARROW_INTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
+/// Whether an identifier has `needle` (or its plural) as one of its words,
+/// splitting on `_` and on camelCase humps: `pte`, `raw_pte`, `leaf_ptes`
+/// and `PteFlags` name a PTE, `attempted` does not.
 fn ident_has(t: &Token, needle: &str) -> bool {
-    t.kind == Kind::Ident && t.text.to_ascii_lowercase().contains(needle)
+    t.kind == Kind::Ident
+        && ident_words(&t.text).into_iter().any(|w| {
+            let w = w.to_ascii_lowercase();
+            w == needle || w.strip_suffix('s') == Some(needle)
+        })
+}
+
+/// The words of an identifier: its `_`-separated segments, each split
+/// again before an uppercase letter that follows a lowercase one or a
+/// digit.
+fn ident_words(ident: &str) -> Vec<&str> {
+    let mut words = Vec::new();
+    for seg in ident.split('_').filter(|s| !s.is_empty()) {
+        let mut start = 0;
+        let mut prev: Option<char> = None;
+        for (i, c) in seg.char_indices() {
+            if c.is_ascii_uppercase()
+                && prev.is_some_and(|p| p.is_ascii_lowercase() || p.is_ascii_digit())
+            {
+                words.push(&seg[start..i]);
+                start = i;
+            }
+            prev = Some(c);
+        }
+        words.push(&seg[start..]);
+    }
+    words
 }
 
 /// P001 raw `u64` PTE manipulation outside `vusion-mmu`; P002 use of the
@@ -1061,6 +1090,31 @@ impl Pool {
     fn p_rules_accept_typed_api_and_f64_bits() {
         assert!(rules("let f = pte.flags() & !PteFlags::HUGE;").is_empty());
         assert!(rules("let b = value.to_bits(); let v = f64::from_bits(b);").is_empty());
+    }
+
+    #[test]
+    fn p_rules_match_whole_identifier_words() {
+        for name in ["pte", "ptes", "raw_pte", "leaf_pte", "leafPte", "RAW_PTE"] {
+            assert_eq!(
+                rules(&format!("fn f({name}: u64) {{}}")),
+                vec![("P001", 1)],
+                "{name} names a PTE"
+            );
+        }
+        for name in ["attempted", "accepted", "adapter", "captured"] {
+            assert!(
+                rules(&format!("let mut {name}: u64 = 0; let y = {name} & 0xff;")).is_empty(),
+                "{name} does not name a PTE"
+            );
+        }
+        // The P002 look-back still keys on `flag`/`flags` words.
+        assert_eq!(rules("let b = flags.bits();"), vec![("P002", 1)]);
+        assert_eq!(rules("let b = leaf_flag.bits();"), vec![("P002", 1)]);
+        assert!(rules("let b = conflagration.bits();").is_empty());
+        assert_eq!(
+            super::ident_words("PteFlags_raw2Pte"),
+            vec!["Pte", "Flags", "raw2", "Pte"]
+        );
     }
 
     #[test]

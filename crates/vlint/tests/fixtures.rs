@@ -57,7 +57,14 @@ fn w001_write_gen_bump() {
 fn p001_raw_pte_bits() {
     check(
         "p001_bad.rs",
-        &[("P001", 3), ("P001", 4), ("P001", 7), ("P001", 8)],
+        &[
+            ("P001", 3),
+            ("P001", 4),
+            ("P001", 7),
+            ("P001", 8),
+            ("P001", 11),
+            ("P001", 12),
+        ],
     );
     check("p001_ok.rs", &[]);
 }

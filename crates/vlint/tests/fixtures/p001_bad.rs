@@ -7,3 +7,7 @@ pub fn trap(pte: u64) -> u64 {
 pub fn low_flags(raw_pte: u64) -> u64 {
     raw_pte & 0xfff
 }
+
+pub fn walk(leaf_ptes: u64) -> u64 {
+    leaf_ptes >> 12
+}

@@ -7,3 +7,8 @@ pub fn trap(pte: Pte) -> Pte {
 pub fn without_huge(pte: Pte) -> PteFlags {
     pte.flags() & !PteFlags::HUGE
 }
+
+/// Words that merely contain the letters "pte" are not page-table words.
+pub fn tally(attempted: u64, accepted: u64) -> u64 {
+    (attempted & 0xff) | (accepted << 8)
+}
