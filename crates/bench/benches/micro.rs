@@ -252,13 +252,6 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
         bench(out, "scan_visit_100_pages_ksm", || {
             black_box(sys.policy.scan(&mut sys.machine));
         });
-        // Same workload at 4 shard threads: the steady-state scan skips
-        // every clean page and its pre-hash list is empty, so the knob
-        // must be free — the artifact records both medians side by side.
-        sys.policy.set_scan_threads(4);
-        bench(out, "scan_visit_100_pages_ksm_t4", || {
-            black_box(sys.policy.scan(&mut sys.machine));
-        });
         sys.machine.enable_tracing();
         black_box(sys.policy.scan(&mut sys.machine));
         metrics.push(("ksm", sys.metrics_snapshot().to_json()));
@@ -277,12 +270,6 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
         bench(out, "scan_full_pass_wpf_512", || {
-            black_box(sys.policy.scan(&mut sys.machine));
-        });
-        // 4-thread twin; the all-clean fast path never reaches the
-        // sharded stage, so this measures the knob's overhead-free case.
-        sys.policy.set_scan_threads(4);
-        bench(out, "scan_full_pass_wpf_512_t4", || {
             black_box(sys.policy.scan(&mut sys.machine));
         });
         sys.machine.enable_tracing();
@@ -319,10 +306,6 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
         bench(out, "scan_visit_100_pages_vusion", || {
             black_box(sys.policy.scan(&mut sys.machine));
         });
-        sys.policy.set_scan_threads(4);
-        bench(out, "scan_visit_100_pages_vusion_t4", || {
-            black_box(sys.policy.scan(&mut sys.machine));
-        });
         sys.machine.enable_tracing();
         black_box(sys.policy.scan(&mut sys.machine));
         metrics.push(("vusion", sys.metrics_snapshot().to_json()));
@@ -330,16 +313,13 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
     metrics
 }
 
-/// Thread-scaling curves for the sharded hashing stage: every iteration
-/// dirties all 512 candidate pages (one byte each, content unchanged —
-/// the write bumps the frame's generation, so every memoized hash goes
-/// cold), then runs one scan that must re-hash the lot. The workload is
-/// byte-identical across the curve; only the `scan_threads` knob moves,
-/// so the artifact records how the parallel pre-hash scales on the host
-/// it ran on. VUsion is omitted: its steady state write-protects the
+/// Cold scans: every iteration dirties all 512 candidate pages (one byte
+/// each, content unchanged — the write bumps the frame's generation, so
+/// every memoized hash goes cold), then runs one scan that must re-hash
+/// the lot. VUsion is omitted: its steady state write-protects the
 /// candidates, so a dirtying workload would measure the CoW fault path,
-/// not the hashing stage (which is the same shared code for all three).
-fn bench_scan_scaling(out: &mut Vec<BenchResult>) {
+/// not the hashing.
+fn bench_scan_cold(out: &mut Vec<BenchResult>) {
     use vusion_core::{Ksm, KsmConfig, Wpf, WpfConfig};
     use vusion_kernel::{FusionPolicy, System};
     // Re-writing page i's distinguishing value at a fixed offset keeps
@@ -351,11 +331,7 @@ fn bench_scan_scaling(out: &mut Vec<BenchResult>) {
             m.write(pid, va, (i % 251) as u8 + 1).expect("mapped");
         }
     }
-    for (threads, name) in [
-        (1usize, "scan_cold_visit_512_ksm_t1"),
-        (2, "scan_cold_visit_512_ksm_t2"),
-        (4, "scan_cold_visit_512_ksm_t4"),
-    ] {
+    {
         let mut m = Machine::new(MachineConfig::test_small());
         let pid = m.spawn("t").expect("spawn");
         m.mmap(pid, Vma::anon(VirtAddr(0x10000), 512, Protection::rw()));
@@ -370,17 +346,12 @@ fn bench_scan_scaling(out: &mut Vec<BenchResult>) {
             let value = (i % 251) as u8 + 1;
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
-        sys.policy.set_scan_threads(threads);
-        bench(out, name, || {
+        bench(out, "scan_cold_visit_512_ksm", || {
             dirty_all(&mut sys.machine, pid);
             black_box(sys.policy.scan(&mut sys.machine));
         });
     }
-    for (threads, name) in [
-        (1usize, "scan_cold_pass_512_wpf_t1"),
-        (2, "scan_cold_pass_512_wpf_t2"),
-        (4, "scan_cold_pass_512_wpf_t4"),
-    ] {
+    {
         let cfg = MachineConfig::test_small().with_reserved_top(256);
         let mut m = Machine::new(cfg);
         let pid = m.spawn("t").expect("spawn");
@@ -392,8 +363,7 @@ fn bench_scan_scaling(out: &mut Vec<BenchResult>) {
             let value = (i % 251) as u8 + 1;
             sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
         }
-        sys.policy.set_scan_threads(threads);
-        bench(out, name, || {
+        bench(out, "scan_cold_pass_512_wpf", || {
             dirty_all(&mut sys.machine, pid);
             black_box(sys.policy.scan(&mut sys.machine));
         });
@@ -481,7 +451,7 @@ fn bench_scan_throttled(out: &mut Vec<BenchResult>) {
 
 /// Full-workspace static-contract pass (DESIGN.md §11): lex, parse, and
 /// cross-link every workspace source file, then run all rule families —
-/// including the workspace-wide snapshot/journal/shard fixpoints over
+/// including the workspace-wide write-gen/snapshot/journal fixpoints over
 /// the cross-file call graph. The row keeps the analyzer honest as the
 /// tree grows: bench_gate holds `vlint_*` benches to a generous absolute
 /// wall-time ceiling instead of the scan_* ratio gate (the linter's cost
@@ -585,7 +555,7 @@ fn main() {
     bench_llc(&mut results);
     bench_fault_path(&mut results);
     let metrics = bench_engine_scans(&mut results);
-    bench_scan_scaling(&mut results);
+    bench_scan_cold(&mut results);
     bench_scan_throttled(&mut results);
     bench_vlint(&mut results);
 

@@ -29,7 +29,6 @@ pub mod engine;
 pub mod ksm;
 pub mod rbtree;
 mod scan_cache;
-pub mod shard;
 pub mod vusion;
 pub mod wpf;
 
@@ -37,9 +36,18 @@ pub use avl::ContentAvlTree;
 pub use engine::{default_pool_frames, EngineKind};
 pub use ksm::{Ksm, KsmConfig, KsmStats};
 pub use rbtree::{ContentRbTree, NodeId};
-pub use shard::ShardRunner;
 pub use vusion::{VUsion, VUsionConfig, VUsionStats};
 pub use wpf::{Wpf, WpfConfig, WpfStats};
+
+/// Charges the modeled cost of hashing one 4 KiB page (64 cache lines at
+/// LLC-hit latency) to the open scan span, at a point where the engine's
+/// model computes a page hash. The charge depends only on simulated state,
+/// never on whether the host memo of that hash happens to be warm, so a
+/// restore + replay attributes exactly the cycles the live run did.
+fn charge_page_hash(m: &mut vusion_kernel::Machine) {
+    let ns = 64 * m.costs().llc_hit;
+    m.scan_cost(ns);
+}
 
 /// Fusion accounting by guest page type (Table 3 of the paper).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

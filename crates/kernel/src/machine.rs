@@ -24,13 +24,6 @@ use crate::process::Process;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(pub usize);
 
-/// Number of *logical* shards scan cost is attributed across. Fixed (not
-/// the worker-thread count) so the per-shard breakdown in the metrics
-/// snapshot is byte-identical at any `--threads` value: work items are
-/// partitioned by `index % LOGICAL_SCAN_SHARDS` over the deterministic
-/// serial enumeration, independent of which OS thread hashed them.
-pub const LOGICAL_SCAN_SHARDS: usize = 8;
-
 /// Kind of memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -233,11 +226,6 @@ pub struct Machine {
     /// (every hook is a single branch) and excluded from snapshots — it
     /// describes a run, not machine state.
     obs: Obs,
-    /// Cumulative scan cost per *logical* shard (see
-    /// [`LOGICAL_SCAN_SHARDS`]). Accumulated unconditionally — it is plain
-    /// integer addition, costs nothing observable, and snapshots carry it
-    /// so restore+replay reproduces the same attribution.
-    scan_shard_cost: [u64; LOGICAL_SCAN_SHARDS],
 }
 
 impl Machine {
@@ -272,7 +260,6 @@ impl Machine {
             journal_on: false,
             journal_suspend: 0,
             obs: Obs::new(),
-            scan_shard_cost: [0; LOGICAL_SCAN_SHARDS],
         }
     }
 
@@ -532,28 +519,6 @@ impl Machine {
         if self.obs.enabled() {
             self.obs.tracer_mut().on_cycles(ns);
         }
-    }
-
-    /// Attributes the scan cost of a sharded (parallel) phase: one entry
-    /// per shard, in shard-enumeration order, folded into a single total
-    /// before it reaches the tracer. The fold is a sum — permutation
-    /// invariant — and the per-shard work sets are fixed by the serial
-    /// partition (`index % threads`), so the attributed value is identical
-    /// at any thread count and the trace stays byte-stable.
-    pub fn scan_cost_shards(&mut self, per_shard: &[u64]) {
-        for (i, &ns) in per_shard.iter().enumerate() {
-            self.scan_shard_cost[i % LOGICAL_SCAN_SHARDS] += ns;
-        }
-        let total: u64 = per_shard.iter().sum();
-        self.scan_cost(total);
-    }
-
-    /// Cumulative scan cost attributed to each logical shard since
-    /// construction (or the last snapshot restore — like the tracer,
-    /// cost attribution is observability state and restarts at zero on
-    /// restore rather than traveling in the snapshot).
-    pub fn scan_shard_costs(&self) -> [u64; LOGICAL_SCAN_SHARDS] {
-        self.scan_shard_cost
     }
 
     /// A page hash as the *scanner* observes it: the machine's fault plan
@@ -1557,10 +1522,6 @@ impl Machine {
         ] {
             w.u64(v);
         }
-        // `scan_shard_cost` is deliberately NOT serialized: cost
-        // attribution depends on hash-memo warmth (a pure-function cache
-        // that does not travel through snapshots), so like the tracer it
-        // is observability-local state, reset on restore.
     }
 
     /// Restores state saved by [`Self::save_state`] into a machine built
@@ -1624,7 +1585,6 @@ impl Machine {
             scan_retries: r.u64()?,
             deferred_drains: r.u64()?,
         };
-        self.scan_shard_cost = [0; LOGICAL_SCAN_SHARDS];
         Ok(())
     }
 

@@ -116,11 +116,10 @@ pub trait FusionPolicy {
         let _ = on;
     }
 
-    /// Sets the number of worker threads the engine may use for the
-    /// shard-local (read-only) phase of a scan pass. A host-execution
-    /// knob, not simulated state: it is never serialized, and traces,
-    /// metrics, and snapshots are byte-identical at any value. Stateless
-    /// policies ignore it.
+    /// Has no effect: every engine scans on a single thread. Kept only
+    /// because the span-timing wrapper policy of the `fusionbench`
+    /// benchmark (a separate workspace) still overrides it; nothing in
+    /// this workspace calls it.
     fn set_scan_threads(&mut self, threads: usize) {
         let _ = threads;
     }
@@ -184,10 +183,6 @@ impl<P: FusionPolicy + ?Sized> FusionPolicy for Box<P> {
 
     fn scan_period_ns(&self) -> u64 {
         (**self).scan_period_ns()
-    }
-
-    fn set_scan_threads(&mut self, threads: usize) {
-        (**self).set_scan_threads(threads)
     }
 
     fn set_scan_budget(&mut self, budget: Option<u64>) {

@@ -109,14 +109,6 @@ impl<P: FusionPolicy> System<P> {
         self
     }
 
-    /// Sets the engine's scan-shard thread count (see
-    /// [`FusionPolicy::set_scan_threads`]): a host-execution knob that
-    /// never changes traces, metrics, or snapshots.
-    // vlint: allow(J001, host-only — worker count changes wall-clock time, never simulation state)
-    pub fn set_scan_threads(&mut self, threads: usize) {
-        self.policy.set_scan_threads(threads);
-    }
-
     /// Driver counters.
     pub fn stats(&self) -> SystemStats {
         self.stats
@@ -519,10 +511,6 @@ impl<P: FusionPolicy> System<P> {
             }
             snap.set_gauge("pressure.band", self.governor.band().code() as i64);
             snap.set_gauge("pressure.budget", self.governor.budget() as i64);
-        }
-        let shards = self.machine.scan_shard_costs();
-        for (i, &ns) in shards.iter().enumerate() {
-            snap.set_counter(&format!("scan.shard_cost_ns.{i}"), ns);
         }
         // Like pressure.*: a disabled surface contributes no keys at all.
         if self.machine.surface_enabled() {
