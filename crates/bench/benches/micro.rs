@@ -10,9 +10,9 @@
 //!
 //! Besides printing a table, the harness writes `BENCH_micro.json` at the
 //! repo root — the first entry in this repo's perf-trajectory files. The
-//! previous run's numbers are preserved under a `"baseline"` key, so the
-//! file always shows the current numbers next to the pre-optimization
-//! ones and a reviewer can compute the speedup from one artifact.
+//! previous run's numbers move under a `"baseline"` key, so the file
+//! always shows the current numbers next to the last committed ones and
+//! `bench_gate` compares each run against the run before it.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -168,6 +168,24 @@ fn bench_page_ops(out: &mut Vec<BenchResult>) {
                 as usize;
         }
         black_box(n);
+    });
+}
+
+/// Seal + unseal of a 4 MiB snapshot payload (1024 materialized frames
+/// of seeded content): the checksum pass every snapshot save and restore
+/// makes over every page.
+fn bench_snapshot(out: &mut Vec<BenchResult>) {
+    use vusion_snapshot::Snapshot;
+    let mut mem = PhysMemory::new(1024);
+    for w in 0..1024 * 512u64 {
+        mem.write_u64(PhysAddr(w * 8), w.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    }
+    let mut w = vusion_snapshot::Writer::new();
+    mem.save(&mut w);
+    let payload = w.into_bytes();
+    bench(out, "snapshot_seal_unseal", || {
+        let sealed = vusion_snapshot::seal(&payload);
+        black_box(vusion_snapshot::unseal(&sealed).expect("intact").len());
     });
 }
 
@@ -477,32 +495,17 @@ fn git_rev(repo_root: &str) -> String {
     }
 }
 
-/// Extracts the previous run's `"baseline"` object (balanced-brace scan —
-/// fine here because bench names and git revs never contain braces). The
-/// very first post-change run instead adopts the entire previous file as
-/// the baseline, which is how the pre-optimization numbers get pinned.
-fn carry_baseline(old: &str) -> Option<String> {
+/// The previous run, minus its own `"baseline"` key, becomes this run's
+/// baseline: one level of history, compared by `bench_gate`. The key is
+/// the first `"baseline":` in the file (bench names, git revs and metric
+/// keys never contain it), and everything before it is a complete object
+/// prefix, so closing it with `null` keeps the embedded JSON valid.
+fn carry_baseline(old: &str) -> String {
     let key = "\"baseline\":";
-    if let Some(pos) = old.find(key) {
-        let rest = old[pos + key.len()..].trim_start();
-        if rest.starts_with('{') {
-            let mut depth = 0usize;
-            for (i, c) in rest.char_indices() {
-                match c {
-                    '{' => depth += 1,
-                    '}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            return Some(rest[..=i].to_string());
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // `"baseline": null` — previous run was itself the baseline run.
+    match old.find(key) {
+        Some(pos) => format!("{}{key} null\n}}", &old[..pos]),
+        None => old.trim().to_string(),
     }
-    Some(old.trim().to_string())
 }
 
 fn render_json(
@@ -551,6 +554,7 @@ fn main() {
     let mut results = Vec::new();
     bench_trees(&mut results);
     bench_page_ops(&mut results);
+    bench_snapshot(&mut results);
     bench_allocators(&mut results);
     bench_llc(&mut results);
     bench_fault_path(&mut results);
@@ -578,7 +582,7 @@ fn main() {
     let path = format!("{repo_root}/BENCH_micro.json");
     let baseline = std::fs::read_to_string(&path)
         .ok()
-        .and_then(|old| carry_baseline(&old));
+        .map(|old| carry_baseline(&old));
     let json = render_json(&git_rev(repo_root), &results, &metrics, baseline.as_deref());
     std::fs::write(&path, json).expect("write BENCH_micro.json");
     println!("wrote {path}");

@@ -1,14 +1,15 @@
 //! CI bench-regression gate over `BENCH_micro.json`.
 //!
-//! Compares the fresh run's `scan_*` medians against the carried
-//! `"baseline"` object (the pre-optimization numbers pinned by the micro
-//! harness) and fails — exit code 1 — if any shared bench regressed by
-//! more than 25% *and* more than an absolute 50 µs. The dual threshold is
-//! the usual defense against noise-dominated cases: a steady-state scan
-//! visit completes in single-digit microseconds, where timer granularity
-//! and host drift between the baseline's machine and the current runner
-//! routinely swing 2–3×, while a real scan-path regression (the thing the
-//! gate exists to catch) costs hundreds of microseconds per pass. A
+//! Compares the fresh run's `scan_*` and `snapshot_*` medians against the
+//! `"baseline"` object (the previous committed run, which the micro
+//! harness moves there) and fails — exit code 1 — if any shared bench
+//! regressed by more than 25% *and* more than an absolute 50 µs. The dual
+//! threshold is the usual defense against noise-dominated cases: a
+//! steady-state scan visit completes in single-digit microseconds, where
+//! timer granularity and host drift between the baseline's machine and
+//! the current runner routinely swing 2–3×, while a real scan-path
+//! regression (the thing the gate exists to catch) costs hundreds of
+//! microseconds per pass. A
 //! per-bench diff is written to `BENCH_gate_diff.json` either way, so CI
 //! can upload it as an artifact. `vlint_*` benches are held to an
 //! absolute wall-time ceiling instead of the ratio gate (the linter's
@@ -96,6 +97,11 @@ fn field_u64(obj: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// Benches held to the ratio gate: engine scans and the snapshot seal.
+fn is_gated(name: &str) -> bool {
+    name.starts_with("scan_") || name.starts_with("snapshot_")
+}
+
 struct Row {
     name: String,
     baseline: Option<u64>,
@@ -104,7 +110,7 @@ struct Row {
 
 impl Row {
     /// `ratio > MAX_RATIO` *and* growth past the noise floor, on a gated
-    /// (scan_*) bench present on both sides. A zero baseline cannot
+    /// bench present on both sides. A zero baseline cannot
     /// regress (nothing to divide by). `vlint_*` benches are instead held
     /// to the absolute [`VLINT_MAX_NS`] ceiling — baseline or not.
     fn verdict(&self) -> (&'static str, Option<f64>) {
@@ -124,7 +130,7 @@ impl Row {
                     return ("ok", None);
                 }
                 let ratio = c as f64 / b as f64;
-                let gated = self.name.starts_with("scan_");
+                let gated = is_gated(&self.name);
                 if gated && ratio > MAX_RATIO && c.saturating_sub(b) > MIN_DELTA_NS {
                     ("regressed", Some(ratio))
                 } else {
@@ -246,11 +252,9 @@ fn main() -> ExitCode {
     }
     let gated = rows
         .iter()
-        .filter(|r| r.name.starts_with("scan_") && r.baseline.is_some() && r.current.is_some())
+        .filter(|r| is_gated(&r.name) && r.baseline.is_some() && r.current.is_some())
         .count();
-    println!(
-        "bench_gate: {gated} scan_* benches gated, {failures} regression(s); diff at {output}"
-    );
+    println!("bench_gate: {gated} benches gated, {failures} regression(s); diff at {output}");
     if failures > 0 {
         ExitCode::FAILURE
     } else {

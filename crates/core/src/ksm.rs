@@ -156,6 +156,12 @@ impl Ksm {
         self.stats
     }
 
+    /// The content-hash filters over the engine's trees.
+    #[cfg(test)]
+    pub(crate) fn hash_indexes(&self) -> Vec<&HashIndex> {
+        vec![&self.stable_hashes, &self.unstable_hashes]
+    }
+
     /// Table 3 accounting.
     pub fn tag_counts(&self) -> TagCounts {
         self.tags

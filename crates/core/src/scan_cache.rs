@@ -427,6 +427,105 @@ mod tests {
         assert!(ix.stale_frames(&mem).is_empty());
     }
 
+    /// Every entry whose recorded write generation is still the frame's
+    /// current one must carry exactly `hash_page(frame)`; returns how many
+    /// entries were current.
+    fn assert_current_entries_match(ix: &HashIndex, mem: &PhysMemory) -> usize {
+        let mut current = 0;
+        for (&frame, &(hash, gen)) in &ix.by_frame {
+            if mem.info(frame).write_gen == gen {
+                assert_eq!(hash, mem.hash_page(frame), "stale hash for {frame:?}");
+                current += 1;
+            }
+        }
+        current
+    }
+
+    /// Runs an engine mid-way (merges done, then fresh writes left
+    /// unscanned), snapshots it, restores into a fresh system and checks
+    /// the restored hash filters against the restored memory.
+    fn check_restored_indexes<P: vusion_kernel::FusionPolicy>(
+        build: impl Fn() -> (vusion_kernel::System<P>, Pid, Pid),
+        indexes: impl Fn(&P) -> Vec<&HashIndex>,
+    ) {
+        use vusion_mem::PAGE_SIZE;
+        let base = 0x10000u64;
+        let page = |fill: u8| {
+            let mut p = [0u8; PAGE_SIZE as usize];
+            for (i, b) in p.iter_mut().enumerate() {
+                *b = fill ^ (i % 23) as u8;
+            }
+            p
+        };
+        let (mut s, a, b) = build();
+        for i in 0..16u64 {
+            let va = VirtAddr(base + i * PAGE_SIZE);
+            s.write_page(a, va, &page(i as u8 % 5 + 1));
+            s.write_page(b, va, &page(i as u8 % 7 + 1));
+        }
+        s.force_scans(12);
+        for i in 0..4u64 {
+            s.write(a, VirtAddr(base + i * PAGE_SIZE + 9), 0xee);
+        }
+        let blob = s.snapshot();
+        let (mut restored, _, _) = build();
+        restored.restore(&blob).expect("restore");
+        let mem = restored.machine.mem();
+        let current: usize = indexes(&restored.policy)
+            .into_iter()
+            .map(|ix| assert_current_entries_match(ix, mem))
+            .sum();
+        assert!(current > 0, "no current index entries to check");
+    }
+
+    #[test]
+    fn restored_hash_indexes_match_restored_memory() {
+        use crate::{Ksm, KsmConfig, VUsion, VUsionConfig, Wpf, WpfConfig};
+        use vusion_kernel::{MachineConfig, System};
+        use vusion_mmu::{Protection, Vma};
+        fn spawn_two(m: &mut Machine, mergeable: bool) -> (Pid, Pid) {
+            let a = m.spawn("a").expect("spawn");
+            let b = m.spawn("b").expect("spawn");
+            for pid in [a, b] {
+                m.mmap(pid, Vma::anon(VirtAddr(0x10000), 64, Protection::rw()));
+                if mergeable {
+                    m.madvise_mergeable(pid, VirtAddr(0x10000), 64);
+                }
+            }
+            (a, b)
+        }
+        check_restored_indexes(
+            || {
+                let mut m = Machine::new(MachineConfig::test_small());
+                let (a, b) = spawn_two(&mut m, true);
+                (System::new(m, Ksm::new(KsmConfig::default())), a, b)
+            },
+            Ksm::hash_indexes,
+        );
+        check_restored_indexes(
+            || {
+                let mut m = Machine::new(MachineConfig::test_small().with_reserved_top(512));
+                let (a, b) = spawn_two(&mut m, false);
+                let wpf = Wpf::new(&m, WpfConfig::default()).expect("wpf");
+                (System::new(m, wpf), a, b)
+            },
+            Wpf::hash_indexes,
+        );
+        check_restored_indexes(
+            || {
+                let mut m = Machine::new(MachineConfig::test_small());
+                let (a, b) = spawn_two(&mut m, true);
+                let cfg = VUsionConfig {
+                    pool_frames: 256,
+                    ..Default::default()
+                };
+                let vusion = VUsion::new(&mut m, cfg);
+                (System::new(m, vusion), a, b)
+            },
+            VUsion::hash_indexes,
+        );
+    }
+
     #[test]
     fn dirty_tracker_detects_writes_and_remaps() {
         let mut mem = PhysMemory::new(3);

@@ -220,6 +220,12 @@ impl VUsion {
         self.stats
     }
 
+    /// The content-hash filters over the engine's trees.
+    #[cfg(test)]
+    pub(crate) fn hash_indexes(&self) -> Vec<&HashIndex> {
+        vec![&self.tree_hashes]
+    }
+
     /// Table 3 accounting.
     pub fn tag_counts(&self) -> TagCounts {
         self.tags

@@ -20,73 +20,18 @@ use std::ops::{Deref, DerefMut};
 use crate::addr::{FrameId, PhysAddr, PAGE_SIZE};
 use crate::frame::{FrameInfo, FrameState, PageType};
 
-const FNV_INIT: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64-bit hash of a page's content.
+/// Content hash of a page: [`vusion_snapshot::xxh64`] of its bytes.
 ///
 /// Used by the WPF engine's hash-sorted candidate list (§2.2) and by KSM's
-/// "has the page changed since last scan" checksum.
-///
-/// The byte-at-a-time FNV-1a semantics are preserved exactly — WPF's
-/// hash-sort order decides frame adjacency, so changing a single hash
-/// value would silently move the §5.2 attack's timing curves. The loop is
-/// merely restructured to load memory 32 bytes at a time as four `u64`
-/// lanes and fold the bytes from registers.
+/// "has the page changed since last scan" checksum, the role xxhash and
+/// jhash2 play in real kernels. The values are part of the model — WPF's
+/// hash-sort order decides frame adjacency, and with it the §5.2 attack's
+/// timing curves — so the function is pinned by golden tests.
 pub fn content_hash(bytes: &[u8]) -> u64 {
-    #[inline(always)]
-    fn fold_word(mut h: u64, word: u64) -> u64 {
-        let mut shift = 0u32;
-        while shift < 64 {
-            h ^= (word >> shift) & 0xff;
-            h = h.wrapping_mul(FNV_PRIME);
-            shift += 8;
-        }
-        h
-    }
-    let mut h = FNV_INIT;
-    let mut wide = bytes.chunks_exact(32);
-    for chunk in &mut wide {
-        let mut lanes = [0u64; 4];
-        for (lane, w) in lanes.iter_mut().zip(chunk.chunks_exact(8)) {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(w);
-            *lane = u64::from_le_bytes(buf);
-        }
-        // The FNV chain is strictly sequential; the win is in the four
-        // unrolled wide loads per iteration, not in reordering the folds.
-        for lane in lanes {
-            h = fold_word(h, lane);
-        }
-    }
-    let tail = wide.remainder();
-    let mut words = tail.chunks_exact(8);
-    for chunk in &mut words {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(chunk);
-        h = fold_word(h, u64::from_le_bytes(buf));
-    }
-    for &b in words.remainder() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    vusion_snapshot::xxh64(bytes)
 }
 
-/// FNV-1a of 4096 zero bytes: each step xors in 0 (a no-op) and
-/// multiplies by the prime, so the whole page folds to 4096 multiplies —
-/// computable at compile time.
-const fn zero_page_hash() -> u64 {
-    let mut h = FNV_INIT;
-    let mut i = 0;
-    while i < PAGE_SIZE as usize {
-        h = h.wrapping_mul(FNV_PRIME);
-        i += 1;
-    }
-    h
-}
-
-const ZERO_PAGE_HASH: u64 = zero_page_hash();
+const ZERO_PAGE_HASH: u64 = vusion_snapshot::xxh64(&ZERO_PAGE);
 
 const ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
 
@@ -394,7 +339,7 @@ impl PhysMemory {
             return true;
         }
         // Differing cached hashes prove inequality (equal bytes hash
-        // equal). Equal hashes prove nothing — FNV collisions exist — so
+        // equal). Equal hashes prove nothing — 64-bit hashes collide — so
         // anything else falls through to the authoritative byte compare.
         if let (Some(ha), Some(hb)) = (self.cached_hash(ia), self.cached_hash(ib)) {
             if ha != hb {
@@ -442,7 +387,7 @@ impl PhysMemory {
         Ordering::Equal
     }
 
-    /// FNV-1a hash of a frame's content, memoized against the frame's
+    /// [`content_hash`] of a frame's content, memoized against the frame's
     /// write generation. Always equal to `content_hash(self.page(frame))`.
     pub fn hash_page(&self, frame: FrameId) -> u64 {
         let i = self.idx(frame);
@@ -668,29 +613,156 @@ mod tests {
         assert_ne!(m.hash_page(FrameId(0)), m.hash_page(FrameId(1)));
     }
 
-    #[test]
-    fn content_hash_matches_bytewise_reference() {
-        // The chunked implementation must reproduce byte-at-a-time FNV-1a
-        // exactly: WPF's sort order (and the §5.2 attack) depends on the
-        // values, not just on hash equality.
-        let reference = |bytes: &[u8]| {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    /// Plain scalar XXH64 (seed 0), written one lane at a time: each lane
+    /// walks every stripe before the next lane starts, the opposite loop
+    /// order of the implementation, and every word is assembled byte by
+    /// byte.
+    fn reference_hash(bytes: &[u8]) -> u64 {
+        const P1: u64 = 0x9e37_79b1_85eb_ca87;
+        const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+        const P3: u64 = 0x1656_67b1_9e37_79f9;
+        const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+        const P5: u64 = 0x27d4_eb2f_1656_67c5;
+        let le = |b: &[u8]| {
+            b.iter()
+                .rev()
+                .fold(0u64, |acc, &x| (acc << 8) | u64::from(x))
+        };
+        let round = |acc: u64, w: u64| {
+            acc.wrapping_add(w.wrapping_mul(P2))
+                .rotate_left(31)
+                .wrapping_mul(P1)
+        };
+        let len = bytes.len();
+        let stripes = len / 32;
+        let mut h = if len >= 32 {
+            let init = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+            let mut lanes = [0u64; 4];
+            for lane in 0..4 {
+                let mut acc = init[lane];
+                for s in 0..stripes {
+                    let at = s * 32 + lane * 8;
+                    acc = round(acc, le(&bytes[at..at + 8]));
+                }
+                lanes[lane] = acc;
+            }
+            let mut h = lanes[0]
+                .rotate_left(1)
+                .wrapping_add(lanes[1].rotate_left(7))
+                .wrapping_add(lanes[2].rotate_left(12))
+                .wrapping_add(lanes[3].rotate_left(18));
+            for lane in lanes {
+                h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
             }
             h
+        } else {
+            P5
         };
+        h = h.wrapping_add(len as u64);
+        let mut i = stripes * 32;
+        while i + 8 <= len {
+            h = (h ^ round(0, le(&bytes[i..i + 8])))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            i += 8;
+        }
+        if i + 4 <= len {
+            h = (h ^ le(&bytes[i..i + 4]).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            i += 4;
+        }
+        while i < len {
+            h = (h ^ u64::from(bytes[i]).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+            i += 1;
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+
+    /// Deterministic xorshift pages — no external RNG in unit tests.
+    /// Every third page gets a long zero prefix.
+    fn seeded_pages() -> Vec<[u8; PAGE_SIZE as usize]> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..8)
+            .map(|seed_page| {
+                let mut page = [0u8; PAGE_SIZE as usize];
+                for chunk in page.chunks_exact_mut(8) {
+                    chunk.copy_from_slice(&next().to_le_bytes());
+                }
+                if seed_page % 3 == 0 {
+                    page[..1024].fill(0);
+                }
+                page
+            })
+            .collect()
+    }
+
+    #[test]
+    fn content_hash_matches_bytewise_reference() {
+        // WPF's sort order (and the §5.2 attack) depends on the hash
+        // values, not just on hash equality: pin them exactly.
         let mut page = [0u8; PAGE_SIZE as usize];
         for (i, b) in page.iter_mut().enumerate() {
             *b = (i as u8).wrapping_mul(31).wrapping_add(7);
         }
-        assert_eq!(content_hash(&page), reference(&page));
-        // Lengths that exercise the non-multiple-of-8 remainder path.
-        for len in [0usize, 1, 7, 8, 9, 63, 100] {
-            assert_eq!(content_hash(&page[..len]), reference(&page[..len]));
+        assert_eq!(content_hash(&page), reference_hash(&page));
+        for len in [0usize, 1, 3, 4, 5, 7, 8, 9, 12, 63, 100] {
+            assert_eq!(content_hash(&page[..len]), reference_hash(&page[..len]));
         }
-        assert_eq!(content_hash(&ZERO_PAGE), ZERO_PAGE_HASH);
+        assert_eq!(ZERO_PAGE_HASH, reference_hash(&ZERO_PAGE));
+        // Literal values: a change of any of these re-baselines WPF's
+        // frame order and every artifact that depends on it.
+        assert_eq!(content_hash(&[]), 0xef46_db37_51d8_e999);
+        assert_eq!(content_hash(&[0x5a]), 0xf146_d7bf_5f35_570b);
+        assert_eq!(content_hash(&ZERO_PAGE), 0xac86_9b6f_32d8_bbdb);
+        assert_eq!(content_hash(&seeded_pages()[1]), 0x9d2e_8d6a_09d5_6f07);
+    }
+
+    #[test]
+    fn content_hash_matches_reference_on_seeded_pages() {
+        for page in seeded_pages() {
+            assert_eq!(content_hash(&page), reference_hash(&page));
+            for len in [0usize, 1, 7, 8, 31, 32, 33, 63, 100, 4095] {
+                assert_eq!(content_hash(&page[..len]), reference_hash(&page[..len]));
+            }
+            assert!(!page_is_zero(&page));
+        }
+        assert!(page_is_zero(&ZERO_PAGE));
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_hash() {
+        let mut page = seeded_pages()[2];
+        let base = content_hash(&page);
+        for byte in 0..PAGE_SIZE as usize {
+            for bit in 0..8 {
+                page[byte] ^= 1 << bit;
+                assert_ne!(content_hash(&page), base, "flip of byte {byte} bit {bit}");
+                page[byte] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn zero_inputs_of_every_short_length_hash_apart() {
+        let zeros = [0u8; 64];
+        let hashes: std::collections::BTreeSet<u64> =
+            (0..=64).map(|len| content_hash(&zeros[..len])).collect();
+        assert_eq!(hashes.len(), 65);
     }
 
     #[test]
@@ -782,59 +854,6 @@ mod tests {
         m.info_mut(FrameId(0)).page_type = PageType::PageCache;
         assert_eq!(m.allocated_by_type(), vec![(PageType::PageCache, 1)]);
         assert_eq!(m.allocated_frames(), 1);
-    }
-
-    /// The pre-wide-op implementation (8-byte chunks), kept verbatim as a
-    /// regression reference: the 32-byte-lane rewrite must reproduce its
-    /// values bit-for-bit on every seeded page.
-    fn content_hash_old(bytes: &[u8]) -> u64 {
-        let mut h = FNV_INIT;
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(chunk);
-            let word = u64::from_le_bytes(w);
-            let mut shift = 0u32;
-            while shift < 64 {
-                h ^= (word >> shift) & 0xff;
-                h = h.wrapping_mul(FNV_PRIME);
-                shift += 8;
-            }
-        }
-        for &b in chunks.remainder() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
-
-    #[test]
-    fn wide_ops_match_old_implementation_on_seeded_pages() {
-        // Deterministic xorshift fill — no external RNG in unit tests.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for seed_page in 0..8 {
-            let mut page = [0u8; PAGE_SIZE as usize];
-            for chunk in page.chunks_exact_mut(8) {
-                chunk.copy_from_slice(&next().to_le_bytes());
-            }
-            if seed_page % 3 == 0 {
-                // Long zero prefixes exercise the early-equal chunks.
-                page[..1024].fill(0);
-            }
-            assert_eq!(content_hash(&page), content_hash_old(&page));
-            for len in [0usize, 1, 7, 8, 31, 32, 33, 63, 100, 4095] {
-                assert_eq!(content_hash(&page[..len]), content_hash_old(&page[..len]));
-            }
-            assert!(!page_is_zero(&page) || page.iter().all(|&b| b == 0));
-        }
-        assert_eq!(content_hash(&ZERO_PAGE), content_hash_old(&ZERO_PAGE));
-        assert!(page_is_zero(&ZERO_PAGE));
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! A sealed snapshot is
 //!
 //! ```text
-//! "VSNP" | version: u32 LE | payload bytes... | fnv1a64(header+payload): u64 LE
+//! "VSNP" | version: u32 LE | payload bytes... | xxh64(header+payload): u64 LE
 //! ```
 //!
-//! The trailing FNV-1a checksum covers magic, version and payload, so a
+//! The trailing [`xxh64`] checksum covers magic, version and payload, so a
 //! truncated or bit-flipped bundle is rejected before any field decodes.
 //! Inside the payload, all integers are little-endian; `usize` travels as
 //! `u64`; `f64` travels as its IEEE-754 bit pattern; strings and blobs are
@@ -40,7 +40,11 @@ use std::fmt;
 /// (`surface_tail`) in their sealed wire format.
 /// v4: the journal event vocabulary gained `Clflush` (wire tag 13), so a
 /// v3 reader would reject journals recorded by v4 code.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5: the seal checksum became [`xxh64`], and so did the page content
+/// hash whose values engine `HashIndex` entries store — a v4 blob restored
+/// into v5 code would keep stale FNV-1a entries, and `may_contain`'s
+/// definitive "no" would then silently skip merges.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Magic bytes opening every sealed snapshot or failure bundle.
 pub const MAGIC: &[u8; 4] = b"VSNP";
@@ -57,7 +61,7 @@ pub enum SnapshotError {
         /// Version found in the stream.
         found: u32,
     },
-    /// The trailing FNV-1a checksum does not match the content.
+    /// The trailing [`xxh64`] checksum does not match the content.
     ChecksumMismatch,
     /// A field decoded to a value that cannot describe a real machine
     /// (unknown enum tag, mismatched geometry, out-of-range index, ...).
@@ -80,7 +84,9 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a over a byte slice; the checksum sealing every snapshot.
+/// FNV-1a over a byte slice. Kept for short identity strings (campaign
+/// signatures and churn seeds, repro and trace digests), whose values seed
+/// or name persisted artifacts; bulk data goes through [`xxh64`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -88,6 +94,110 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One lane update: `rotl(acc + w·P2, 31)·P1`.
+const fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Folds one finished lane into the running hash.
+const fn merge(h: u64, lane: u64) -> u64 {
+    (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// Little-endian `u64` at byte `i` of a stripe.
+const fn word(stripe: &[u8; 32], i: usize) -> u64 {
+    u64::from_le_bytes([
+        stripe[i],
+        stripe[i + 1],
+        stripe[i + 2],
+        stripe[i + 3],
+        stripe[i + 4],
+        stripe[i + 5],
+        stripe[i + 6],
+        stripe[i + 7],
+    ])
+}
+
+/// XXH64 (seed 0): the lane-parallel word hash behind page content hashes
+/// and the snapshot seal.
+///
+/// Inputs of 32 bytes or more run four independent lanes, each updated
+/// once per 32-byte stripe by `acc = rotl(acc + w·P2, 31)·P1`, so the
+/// four multiply chains overlap instead of serializing like a byte-wise
+/// hash. The lanes are then folded with distinct rotations plus one merge
+/// round each; shorter inputs start from `P5` instead. The length is
+/// added, the tail is absorbed eight bytes, then four, then one at a
+/// time, and an xor-shift/multiply avalanche finishes. Loads are
+/// `from_le_bytes`, so values are identical on every host.
+///
+/// Why a one-word change (a flipped bit, say) shows in the result: each
+/// round is a bijection of its lane for a fixed word and of the word for a
+/// fixed lane, so the changed word's lane ends with a different
+/// accumulator; each tail step is likewise a bijection of the running
+/// hash and of its own word, and so is the avalanche. The one step that
+/// is not a bijection per lane is the fold, which mixes a lane in twice
+/// (rotated, then through its merge round); the golden tests flip every
+/// bit of a page to check it. Equal hashes never prove equal content —
+/// callers that merge pages confirm with a byte compare.
+pub const fn xxh64(bytes: &[u8]) -> u64 {
+    let mut rest = bytes;
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+        while let Some((stripe, r)) = rest.split_first_chunk::<32>() {
+            v[0] = round(v[0], word(stripe, 0));
+            v[1] = round(v[1], word(stripe, 8));
+            v[2] = round(v[2], word(stripe, 16));
+            v[3] = round(v[3], word(stripe, 24));
+            rest = r;
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        h = merge(h, v[0]);
+        h = merge(h, v[1]);
+        h = merge(h, v[2]);
+        merge(h, v[3])
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while let Some((w, r)) = rest.split_first_chunk::<8>() {
+        h = (h ^ round(0, u64::from_le_bytes(*w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        rest = r;
+    }
+    if let Some((w, r)) = rest.split_first_chunk::<4>() {
+        h = (h ^ (u32::from_le_bytes(*w) as u64).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = r;
+    }
+    while let Some((&b, r)) = rest.split_first() {
+        h = (h ^ (b as u64).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+        rest = r;
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Append-only byte sink for serialization.
@@ -273,13 +383,13 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Seals a payload: magic + version + payload + trailing FNV-1a checksum.
+/// Seals a payload: magic + version + payload + trailing [`xxh64`] checksum.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 16);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(payload);
-    let sum = fnv1a64(&out);
+    let sum = xxh64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -301,7 +411,7 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     }
     let mut sb = [0u8; 8];
     sb.copy_from_slice(tail);
-    if fnv1a64(body) != u64::from_le_bytes(sb) {
+    if xxh64(body) != u64::from_le_bytes(sb) {
         return Err(SnapshotError::ChecksumMismatch);
     }
     Ok(&body[8..])
@@ -400,6 +510,14 @@ mod tests {
         assert_eq!(unseal(&bad), Err(SnapshotError::ChecksumMismatch));
         // Truncation.
         assert_eq!(unseal(&sealed[..10]), Err(SnapshotError::Truncated));
+    }
+
+    #[test]
+    fn xxh64_matches_published_vectors() {
+        // Reference values of XXH64 with seed 0.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
     }
 
     #[test]
