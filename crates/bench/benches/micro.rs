@@ -1,8 +1,9 @@
 //! Microbenchmarks of the core data structures and hot paths: the content
 //! trees (KSM's red-black tree, WPF's AVL tree), the scan-path tree lookup
 //! (hash-prefiltered find + insert, the shape every engine runs per page),
-//! the allocators (buddy / linear / randomized pool), LLC accesses, the
-//! end-to-end fault path, and full engine scans (KSM / WPF / VUsion).
+//! the allocators (buddy / linear / randomized pool), TLB fills and LLC
+//! accesses, the end-to-end fault and TLB-miss paths, and full engine scans
+//! (KSM / WPF / VUsion).
 //!
 //! Plain self-timed harness (no external benchmark framework): each case
 //! runs warm-up passes, then records per-sample wall-clock times and
@@ -24,7 +25,7 @@ use vusion_mem::{
     BuddyAllocator, FrameAllocator, FrameId, LinearAllocator, PageType, PhysAddr, PhysMemory,
     RandomPool, VirtAddr,
 };
-use vusion_mmu::{Protection, Vma};
+use vusion_mmu::{Protection, Pte, PteFlags, Tlb, TlbEntry, Vma};
 
 const SAMPLES: u32 = 20;
 const WARMUP: u32 = 3;
@@ -223,6 +224,23 @@ fn bench_llc(out: &mut Vec<BenchResult>) {
     });
 }
 
+fn bench_tlb(out: &mut Vec<BenchResult>) {
+    // 4096 distinct pages into 1536 entries: every fill past the 1536th
+    // evicts the oldest entry.
+    bench(out, "tlb_fill_evict_4k_pages", || {
+        let mut tlb = Tlb::skylake();
+        for i in 0..4096u64 {
+            let va = VirtAddr(i * 4096);
+            let entry = TlbEntry {
+                pte: Pte::new(FrameId(i), PteFlags::PRESENT),
+                huge: false,
+            };
+            black_box(tlb.fill(va, entry));
+            black_box(tlb.lookup(va));
+        }
+    });
+}
+
 fn bench_fault_path(out: &mut Vec<BenchResult>) {
     bench(out, "demand_zero_fault_and_map", || {
         let mut m = Machine::new(MachineConfig::test_small());
@@ -235,6 +253,24 @@ fn bench_fault_path(out: &mut Vec<BenchResult>) {
             black_box(m.read(pid, va).expect("mapped"));
         }
     });
+    {
+        // 512 resident pages read right after a TLB flush: every read
+        // walks the tables, sets the ACCESSED bit in place and fills.
+        let mut m = Machine::new(MachineConfig::test_small());
+        let pid = m.spawn("t").expect("spawn");
+        m.mmap(pid, Vma::anon(VirtAddr(0x10000), 512, Protection::rw()));
+        for i in 0..512u64 {
+            let va = VirtAddr(0x10000 + i * 4096);
+            let f = m.read(pid, va).expect_err("faults");
+            m.default_fault(&f);
+        }
+        bench(out, "timed_access_tlb_miss_512", || {
+            m.process_mut(pid).tlb.flush();
+            for i in 0..512u64 {
+                black_box(m.read(pid, VirtAddr(0x10000 + i * 4096)).expect("mapped"));
+            }
+        });
+    }
     {
         let mut m = Machine::new(MachineConfig::test_small());
         bench(out, "frame_alloc_with_metadata", || {
@@ -556,6 +592,7 @@ fn main() {
     bench_page_ops(&mut results);
     bench_snapshot(&mut results);
     bench_allocators(&mut results);
+    bench_tlb(&mut results);
     bench_llc(&mut results);
     bench_fault_path(&mut results);
     let metrics = bench_engine_scans(&mut results);

@@ -1,6 +1,7 @@
 //! CI bench-regression gate over `BENCH_micro.json`.
 //!
-//! Compares the fresh run's `scan_*` and `snapshot_*` medians against the
+//! Compares the fresh run's `scan_*`, `snapshot_*` and access-path
+//! substrate (`tlb_*`, `llc_*`, `demand_zero_*`) medians against the
 //! `"baseline"` object (the previous committed run, which the micro
 //! harness moves there) and fails — exit code 1 — if any shared bench
 //! regressed by more than 25% *and* more than an absolute 50 µs. The dual
@@ -97,9 +98,12 @@ fn field_u64(obj: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Benches held to the ratio gate: engine scans and the snapshot seal.
+/// Benches held to the ratio gate: engine scans, the snapshot seal, and
+/// the access-path substrate (TLB, LLC, demand-zero fault).
 fn is_gated(name: &str) -> bool {
-    name.starts_with("scan_") || name.starts_with("snapshot_")
+    ["scan_", "snapshot_", "tlb_", "llc_", "demand_zero_"]
+        .iter()
+        .any(|prefix| name.starts_with(prefix))
 }
 
 struct Row {

@@ -1,6 +1,13 @@
 //! Physically indexed set-associative LLC with true-LRU replacement.
+//!
+//! All sets live in one flat `sets × ways` line array, each set's slice
+//! ordered most-recently-used first with a per-set fill count, so an
+//! access touches one contiguous slice and allocates nothing.
 
 use vusion_mem::{FrameId, PhysAddr, PAGE_SIZE};
+
+#[cfg(test)]
+mod reference;
 
 /// Geometry of the simulated LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,17 +78,13 @@ pub struct CacheStats {
     pub flushes: u64,
 }
 
-/// One cache set: tags ordered most-recently-used first.
-#[derive(Debug, Clone, Default)]
-struct Set {
-    /// Global line indices (physical address / line size), MRU first.
-    lines: Vec<u64>,
-}
-
 /// The simulated last-level cache.
 pub struct Llc {
     cfg: LlcConfig,
-    sets: Vec<Set>,
+    /// Global line indices (physical address / line size); set `s` owns
+    /// `lines[s * ways..][..ways]`, MRU first, its first `lens[s]` valid.
+    lines: Vec<u64>,
+    lens: Vec<usize>,
     stats: CacheStats,
 }
 
@@ -103,7 +106,8 @@ impl Llc {
         );
         Self {
             cfg,
-            sets: vec![Set::default(); cfg.sets],
+            lines: vec![0; cfg.sets * cfg.ways],
+            lens: vec![0; cfg.sets],
             stats: CacheStats::default(),
         }
     }
@@ -120,7 +124,27 @@ impl Llc {
 
     /// The set index a physical address maps to.
     pub fn set_index(&self, addr: PhysAddr) -> usize {
-        ((addr.0 / self.cfg.line_size) % self.cfg.sets as u64) as usize
+        self.locate(addr).1
+    }
+
+    /// The global line index of `addr` and the set it maps to. Shipped
+    /// geometries are powers of two, where a shift and a mask replace two
+    /// 64-bit divisions on every access.
+    fn locate(&self, addr: PhysAddr) -> (u64, usize) {
+        let LlcConfig {
+            sets, line_size, ..
+        } = self.cfg;
+        let line = if line_size.is_power_of_two() {
+            addr.0 >> line_size.trailing_zeros()
+        } else {
+            addr.0 / line_size
+        };
+        let set = if sets.is_power_of_two() {
+            line & (sets as u64 - 1)
+        } else {
+            line % sets as u64
+        };
+        (line, set as usize)
     }
 
     /// The color of a physical frame: which group of sets its lines occupy.
@@ -142,23 +166,25 @@ impl Llc {
     /// attribute evictions to the frames whose lines were displaced.
     /// The victim frame is `line * line_size / PAGE_SIZE`.
     pub fn access_evicting(&mut self, addr: PhysAddr) -> (CacheOutcome, Option<u64>) {
-        let line = addr.0 / self.cfg.line_size;
-        let set_idx = self.set_index(addr);
+        let (line, set_idx) = self.locate(addr);
         let ways = self.cfg.ways;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.lines.iter().position(|&l| l == line) {
-            let l = set.lines.remove(pos);
-            set.lines.insert(0, l);
+        let len = self.lens[set_idx];
+        let set = &mut self.lines[set_idx * ways..][..ways];
+        if let Some(pos) = set[..len].iter().position(|&l| l == line) {
+            set.copy_within(..pos, 1);
+            set[0] = line;
             self.stats.hits += 1;
             (CacheOutcome::Hit, None)
         } else {
-            set.lines.insert(0, line);
-            let evicted = if set.lines.len() > ways {
+            let evicted = if len == ways {
                 self.stats.evictions += 1;
-                set.lines.pop()
+                Some(set[ways - 1])
             } else {
+                self.lens[set_idx] += 1;
                 None
             };
+            set.copy_within(..len.min(ways - 1), 1);
+            set[0] = line;
             self.stats.misses += 1;
             (CacheOutcome::Miss, evicted)
         }
@@ -167,25 +193,25 @@ impl Llc {
     /// The line indices currently resident in `set` (MRU first). Used by
     /// snapshot-time occupancy walks; read-only.
     pub fn set_lines(&self, set: usize) -> &[u64] {
-        &self.sets[set].lines
+        &self.lines[set * self.cfg.ways..][..self.lens[set]]
     }
 
     /// Checks presence without touching LRU state (attack helper mirroring a
     /// timing-only probe; real probes also access, so prefer [`Self::access`]
     /// in end-to-end attacks).
     pub fn contains(&self, addr: PhysAddr) -> bool {
-        let line = addr.0 / self.cfg.line_size;
-        let set_idx = self.set_index(addr);
-        self.sets[set_idx].lines.contains(&line)
+        let (line, set_idx) = self.locate(addr);
+        self.set_lines(set_idx).contains(&line)
     }
 
     /// Flushes one line (the `clflush` instruction).
     pub fn flush(&mut self, addr: PhysAddr) {
-        let line = addr.0 / self.cfg.line_size;
-        let set_idx = self.set_index(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.lines.iter().position(|&l| l == line) {
-            set.lines.remove(pos);
+        let (line, set_idx) = self.locate(addr);
+        let len = self.lens[set_idx];
+        let set = &mut self.lines[set_idx * self.cfg.ways..][..len];
+        if let Some(pos) = set.iter().position(|&l| l == line) {
+            set.copy_within(pos + 1.., pos);
+            self.lens[set_idx] -= 1;
             self.stats.flushes += 1;
         }
     }
@@ -199,9 +225,7 @@ impl Llc {
 
     /// Invalidates the entire cache (used between experiment repetitions).
     pub fn clear(&mut self) {
-        for s in &mut self.sets {
-            s.lines.clear();
-        }
+        self.lens.fill(0);
     }
 
     /// Returns `ways` physical addresses, one per distinct frame of the
@@ -233,9 +257,9 @@ impl vusion_snapshot::Snapshot for Llc {
         w.usize(self.cfg.sets);
         w.usize(self.cfg.ways);
         w.u64(self.cfg.line_size);
-        for set in &self.sets {
+        for (set, &len) in self.lines.chunks_exact(self.cfg.ways).zip(&self.lens) {
             // MRU-first line order is the LRU state; it travels verbatim.
-            w.u64s(&set.lines);
+            w.u64s(&set[..len]);
         }
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
@@ -254,8 +278,19 @@ impl vusion_snapshot::Snapshot for Llc {
         {
             return Err(SnapshotError::Corrupt("cache geometry mismatch"));
         }
-        for set in &mut self.sets {
-            set.lines = r.u64s()?;
+        let ways = self.cfg.ways;
+        for (set, len) in self.lines.chunks_exact_mut(ways).zip(&mut self.lens) {
+            // Same encoding as `Reader::u64s`, bounded by the associativity.
+            let n = r.usize()?;
+            if n > ways {
+                return Err(SnapshotError::Corrupt(
+                    "cache set holds more lines than ways",
+                ));
+            }
+            for l in &mut set[..n] {
+                *l = r.u64()?;
+            }
+            *len = n;
         }
         self.stats = CacheStats {
             hits: r.u64()?,
@@ -411,5 +446,137 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
+    }
+
+    fn saved(save: impl FnOnce(&mut vusion_snapshot::Writer)) -> Vec<u8> {
+        let mut w = vusion_snapshot::Writer::new();
+        save(&mut w);
+        w.into_bytes()
+    }
+
+    /// A small geometry: 16 sets of 3 ways, 512-byte lines (8 sets per
+    /// page, 2 colors), so a few dozen lines already thrash every set.
+    fn small_cfg() -> LlcConfig {
+        LlcConfig {
+            sets: 16,
+            ways: 3,
+            line_size: 512,
+        }
+    }
+
+    /// The flat cache against the set-of-vectors model it replaced: the
+    /// same seeded operation stream must give the same outcomes, evicted
+    /// lines, counters, set contents and snapshot bytes after every step.
+    #[test]
+    fn matches_reference_model() {
+        use vusion_rng::rngs::StdRng;
+        use vusion_rng::{RngExt, SeedableRng};
+        use vusion_snapshot::Snapshot;
+
+        let base = small_cfg();
+        let configs = [
+            base,
+            LlcConfig { ways: 1, ..base },
+            LlcConfig { ways: 5, ..base },
+            // Geometries off the shift-and-mask fast path.
+            LlcConfig { sets: 24, ..base },
+            LlcConfig {
+                sets: 15,
+                ways: 3,
+                line_size: 768,
+            },
+        ];
+        for (seed, cfg) in (1u64..).zip(configs) {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x11c);
+            let mut new = Llc::new(cfg);
+            let mut old = reference::RefLlc::new(cfg);
+            for step in 0..10_000 {
+                let addr = PhysAddr(rng.random_range(0..6 * PAGE_SIZE));
+                match rng.random_range(0..100u32) {
+                    0..70 => assert_eq!(
+                        new.access_evicting(addr),
+                        old.access_evicting(addr),
+                        "step {step}"
+                    ),
+                    70..80 => assert_eq!(new.contains(addr), old.contains(addr), "step {step}"),
+                    80..95 => {
+                        new.flush(addr);
+                        old.flush(addr);
+                    }
+                    95..99 => {
+                        new.flush_frame(addr.frame());
+                        old.flush_frame(addr.frame());
+                    }
+                    _ => {
+                        new.clear();
+                        old.clear();
+                    }
+                }
+                assert_eq!(new.stats(), old.stats(), "step {step}");
+                for set in 0..cfg.sets {
+                    assert_eq!(new.set_lines(set), old.set_lines(set), "step {step}");
+                }
+                if step % 500 == 0 {
+                    let bytes = saved(|w| new.save(w));
+                    assert_eq!(bytes, saved(|w| old.save(w)), "step {step}");
+                    let mut back = Llc::new(cfg);
+                    back.load(&mut vusion_snapshot::Reader::new(&bytes))
+                        .expect("own stream loads");
+                    assert_eq!(saved(|w| back.save(w)), bytes, "step {step}");
+                }
+            }
+            assert_eq!(saved(|w| new.save(w)), saved(|w| old.save(w)));
+        }
+    }
+
+    fn load(cfg: LlcConfig, bytes: &[u8]) -> Result<Llc, vusion_snapshot::SnapshotError> {
+        use vusion_snapshot::Snapshot;
+        let mut c = Llc::new(cfg);
+        c.load(&mut vusion_snapshot::Reader::new(bytes))?;
+        Ok(c)
+    }
+
+    #[test]
+    fn load_rejects_overfull_set() {
+        let cfg = small_cfg();
+        let stream = |first_set: &[u64]| {
+            saved(|w| {
+                w.usize(cfg.sets);
+                w.usize(cfg.ways);
+                w.u64(cfg.line_size);
+                w.u64s(first_set);
+                for _ in 1..cfg.sets {
+                    w.u64s(&[]);
+                }
+                for _ in 0..4 {
+                    w.u64(0);
+                }
+            })
+        };
+        let full = load(cfg, &stream(&[0, 16, 32])).expect("full set loads");
+        assert_eq!(full.set_lines(0), &[0, 16, 32]);
+        assert!(matches!(
+            load(cfg, &stream(&[0, 16, 32, 48])),
+            Err(vusion_snapshot::SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn every_truncated_stream_is_an_error() {
+        use vusion_snapshot::Snapshot;
+        let cfg = small_cfg();
+        let mut c = Llc::new(cfg);
+        for i in 0..40u64 {
+            c.access(PhysAddr(i * 7 * 512));
+        }
+        c.flush(PhysAddr(39 * 7 * 512));
+        let bytes = saved(|w| c.save(w));
+        assert_eq!(
+            saved(|w| load(cfg, &bytes).expect("whole stream").save(w)),
+            bytes
+        );
+        for len in 0..bytes.len() {
+            assert!(load(cfg, &bytes[..len]).is_err(), "prefix of {len} bytes");
+        }
     }
 }

@@ -8,7 +8,9 @@ use vusion_mem::{
     FrameId, FrameState, InjectionStats, MmError, PageType, PhysAddr, PhysMemory, VirtAddr,
     HUGE_PAGE_FRAMES, HUGE_PAGE_SIZE, PAGE_SIZE,
 };
-use vusion_mmu::{AddressSpace, LeafInfo, Pte, PteFlags, Tlb, TlbEntry, Vma, VmaBacking};
+use vusion_mmu::{
+    AddressSpace, LeafInfo, PageTables, Pte, PteFlags, Tlb, TlbEntry, Vma, VmaBacking,
+};
 use vusion_obs::{
     DramOutcome, FaultKind, InstantKind, Obs, PageClass, SpanKind, SurfaceExtras, SurfaceTransition,
 };
@@ -908,7 +910,7 @@ impl Machine {
     /// A timed page walk: every level's entry read goes through the LLC.
     fn walk_timed(&mut self, pid: Pid, va: VirtAddr) -> Option<LeafInfo> {
         let walk = self.processes[pid.0].space.tables().walk(&self.mem, va);
-        for step in walk.steps.clone() {
+        for &step in walk.steps() {
             self.phys_access(step, false);
         }
         walk.leaf
@@ -991,15 +993,9 @@ impl Machine {
             if kind == AccessKind::Write {
                 pte = pte.set(PteFlags::DIRTY);
             }
-            let base = if leaf.huge {
-                va.huge_base()
-            } else {
-                va.page_base()
-            };
-            let p = &mut self.processes[pid.0];
-            // The walk above just resolved this leaf; the entry exists.
-            let _ = p.space.tables_mut().set_leaf(&mut self.mem, base, pte);
-            let evicted = p.tlb.fill(
+            // The walk above just resolved this leaf: write it in place.
+            PageTables::rewrite_leaf(&mut self.mem, &leaf, pte);
+            let evicted = self.processes[pid.0].tlb.fill(
                 va,
                 TlbEntry {
                     pte,
@@ -1016,18 +1012,16 @@ impl Machine {
             }
         } else if kind == AccessKind::Write {
             // Set the dirty bit through a quiet walk (first write after a
-            // read fill).
+            // read fill); the TLB entry carries no entry address.
             let base = if leaf.huge {
                 va.huge_base()
             } else {
                 va.page_base()
             };
             if let Some(l) = self.processes[pid.0].space.tables().leaf(&self.mem, base) {
-                let p = &mut self.processes[pid.0];
-                // The quiet walk just resolved this leaf; the entry exists.
-                let _ = p.space.tables_mut().set_leaf(
+                PageTables::rewrite_leaf(
                     &mut self.mem,
-                    base,
+                    &l,
                     l.pte.set(PteFlags::DIRTY | PteFlags::ACCESSED),
                 );
             }

@@ -27,14 +27,23 @@ pub struct LeafInfo {
     pub huge: bool,
 }
 
-/// Result of a page walk.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of a page walk. Inline and `Copy`: a walk allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Walk {
-    /// Physical addresses of every table entry read, in order (PML4 first).
-    pub steps: Vec<PhysAddr>,
+    /// Entry addresses read, PML4 first; the first `depth` are valid and
+    /// the rest stay zero.
+    steps: [PhysAddr; 4],
+    depth: usize,
     /// The leaf mapping, if the walk reached one. `None` means the walk hit
     /// a non-present intermediate entry or an empty leaf.
     pub leaf: Option<LeafInfo>,
+}
+
+impl Walk {
+    /// Physical addresses of every table entry read, in order (PML4 first).
+    pub fn steps(&self) -> &[PhysAddr] {
+        &self.steps[..self.depth]
+    }
 }
 
 /// A 4-level page-table tree rooted at a PML4 frame.
@@ -91,44 +100,43 @@ impl PageTables {
     /// Walks the tables for `va`, recording each entry address touched.
     pub fn walk(&self, mem: &PhysMemory, va: VirtAddr) -> Walk {
         let idx = va.pt_indices();
-        let mut steps = Vec::with_capacity(4);
+        let mut walk = Walk {
+            steps: [PhysAddr(0); 4],
+            depth: 0,
+            leaf: None,
+        };
         let mut table = self.root;
         for (level, &ix) in idx.iter().enumerate() {
             let entry_addr = Self::entry_addr(table, ix);
-            steps.push(entry_addr);
-            let pte = Self::read_entry(mem, table, idx[level]);
+            walk.steps[level] = entry_addr;
+            walk.depth = level + 1;
+            let pte = Self::read_entry(mem, table, ix);
             if level == 3 {
                 // PT leaf.
-                let leaf = if pte.is_empty() {
-                    None
-                } else {
-                    Some(LeafInfo {
+                if !pte.is_empty() {
+                    walk.leaf = Some(LeafInfo {
                         pte,
                         entry_addr,
                         huge: false,
-                    })
-                };
-                return Walk { steps, leaf };
+                    });
+                }
+                break;
             }
             if level == 2 && pte.has(PteFlags::HUGE) {
                 // PD leaf mapping a 2 MiB page: 3-level walk.
-                return Walk {
-                    steps,
-                    leaf: Some(LeafInfo {
-                        pte,
-                        entry_addr,
-                        huge: true,
-                    }),
-                };
+                walk.leaf = Some(LeafInfo {
+                    pte,
+                    entry_addr,
+                    huge: true,
+                });
+                break;
             }
             if !pte.is_present() {
-                return Walk { steps, leaf: None };
+                break;
             }
             table = pte.frame();
         }
-        // The loop always returns at level 3; this is dead code kept only to
-        // satisfy control-flow analysis without a panicking branch.
-        Walk { steps, leaf: None }
+        walk
     }
 
     /// Ensures intermediate tables down to the PT exist and returns the PT
@@ -229,6 +237,13 @@ impl PageTables {
         self.walk(mem, va).leaf
     }
 
+    /// Overwrites the entry a walk just resolved, without walking again —
+    /// the hardware-style ACCESSED/DIRTY update on the access path. `leaf`
+    /// must come from a walk of these tables since their last change.
+    pub fn rewrite_leaf(mem: &mut PhysMemory, leaf: &LeafInfo, pte: Pte) {
+        mem.write_u64(leaf.entry_addr, pte.0);
+    }
+
     /// Overwrites the leaf entry that maps `va` (4 KiB or huge).
     ///
     /// # Errors
@@ -241,7 +256,7 @@ impl PageTables {
         pte: Pte,
     ) -> Result<(), MmError> {
         let leaf = self.leaf(mem, va).ok_or(MmError::BadPageTable(va))?;
-        mem.write_u64(leaf.entry_addr, pte.0);
+        Self::rewrite_leaf(mem, &leaf, pte);
         Ok(())
     }
 
@@ -252,7 +267,7 @@ impl PageTables {
     /// [`MmError::BadPageTable`] if `va` is not mapped.
     pub fn unmap(&mut self, mem: &mut PhysMemory, va: VirtAddr) -> Result<Pte, MmError> {
         let leaf = self.leaf(mem, va).ok_or(MmError::BadPageTable(va))?;
-        mem.write_u64(leaf.entry_addr, Pte::EMPTY.0);
+        Self::rewrite_leaf(mem, &leaf, Pte::EMPTY);
         Ok(leaf.pte)
     }
 
@@ -357,7 +372,7 @@ impl PageTables {
         let leaf = self.leaf(mem, va)?;
         let was = leaf.pte.has(PteFlags::ACCESSED);
         if was {
-            mem.write_u64(leaf.entry_addr, leaf.pte.clear(PteFlags::ACCESSED).0);
+            Self::rewrite_leaf(mem, &leaf, leaf.pte.clear(PteFlags::ACCESSED));
         }
         Some(was)
     }
@@ -395,7 +410,7 @@ mod tests {
         )
         .expect("map");
         let w = pt.walk(&mem, va);
-        assert_eq!(w.steps.len(), 4, "4 KiB mapping walks four levels");
+        assert_eq!(w.steps().len(), 4, "4 KiB mapping walks four levels");
         let leaf = w.leaf.expect("mapped");
         assert_eq!(leaf.pte.frame(), f);
         assert!(!leaf.huge);
@@ -406,7 +421,7 @@ mod tests {
         let (mem, _alloc, pt) = setup();
         let w = pt.walk(&mem, VirtAddr(0x1234_5000));
         assert!(w.leaf.is_none());
-        assert_eq!(w.steps.len(), 1, "stops at the first non-present level");
+        assert_eq!(w.steps().len(), 1, "stops at the first non-present level");
     }
 
     #[test]
@@ -424,7 +439,7 @@ mod tests {
         )
         .expect("map_huge");
         let w = pt.walk(&mem, va + 5 * 4096 + 3);
-        assert_eq!(w.steps.len(), 3, "2 MiB mapping walks three levels");
+        assert_eq!(w.steps().len(), 3, "2 MiB mapping walks three levels");
         let leaf = w.leaf.expect("mapped");
         assert!(leaf.huge);
         assert_eq!(leaf.pte.frame(), f);
@@ -449,7 +464,7 @@ mod tests {
         // Every sub-page now maps 4 KiB to the corresponding frame.
         for i in [0u64, 17, 511] {
             let w = pt.walk(&mem, va + i * 4096);
-            assert_eq!(w.steps.len(), 4, "now a 4-level walk");
+            assert_eq!(w.steps().len(), 4, "now a 4-level walk");
             let leaf = w.leaf.expect("still mapped");
             assert!(!leaf.huge);
             assert_eq!(leaf.pte.frame(), FrameId(f.0 + i));
@@ -487,7 +502,7 @@ mod tests {
             "PT frame freed"
         );
         let w = pt.walk(&mem, va + 4096);
-        assert_eq!(w.steps.len(), 3);
+        assert_eq!(w.steps().len(), 3);
         assert!(w.leaf.expect("mapped").huge);
     }
 
@@ -512,6 +527,21 @@ mod tests {
         assert_eq!(new.pte.frame(), g);
         assert!(new.pte.is_trapped());
         assert!(new.pte.has(PteFlags::NO_CACHE));
+    }
+
+    #[test]
+    fn rewrite_leaf_updates_the_walked_entry() {
+        let (mut mem, mut alloc, mut pt) = setup();
+        let f = user_frame(&mut mem, &mut alloc);
+        let va = VirtAddr(0x7000);
+        pt.map_page(&mut mem, &mut alloc, va, f, PteFlags::PRESENT)
+            .expect("map");
+        let leaf = pt.walk(&mem, va).leaf.expect("mapped");
+        PageTables::rewrite_leaf(&mut mem, &leaf, leaf.pte.set(PteFlags::DIRTY));
+        let new = pt.leaf(&mem, va).expect("mapped");
+        assert_eq!(new.entry_addr, leaf.entry_addr);
+        assert!(new.pte.has(PteFlags::DIRTY));
+        assert_eq!(new.pte.frame(), f);
     }
 
     #[test]

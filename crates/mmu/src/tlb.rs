@@ -4,12 +4,23 @@
 //! exist to reduce TLB misses — the entire motivation of §8) and security
 //! (a TLB hit skips the page-table walk, so the AnC attack needs the walk
 //! entries evicted; the paper's §5.3 also mentions TLB-based side channels).
+//!
+//! Each page size is a fully associative FIFO array. Every operation is
+//! O(1) and allocation-free once the array is warm: an open-addressed index
+//! (linear probing, fixed multiplicative hash) finds an entry by page
+//! number, a `VecDeque` keeps fill order, and invalidation leaves a stale
+//! FIFO tag behind instead of searching the queue. `std`'s hash maps are
+//! out (vlint D002): their per-process random seed would make slot
+//! placement, and with it [`Tlb::entries`] order, differ run to run.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use vusion_mem::{FrameId, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
 
 use crate::pte::Pte;
+
+#[cfg(test)]
+mod reference;
 
 /// A cached translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,15 +31,234 @@ pub struct TlbEntry {
     pub huge: bool,
 }
 
+/// Fibonacci hashing multiplier (2^64 / golden ratio). Fixed, so slot
+/// placement is a pure function of the keys.
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Index size of an empty array; it doubles whenever it would pass half
+/// full, so it never exceeds four times the entries it has held.
+const MIN_SLOTS: usize = 8;
+
+/// One index slot. `seq == 0` marks it empty.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: u64,
+    /// Fill sequence number of the FIFO tag that owns this entry.
+    seq: u64,
+    pte: Pte,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        key: 0,
+        seq: 0,
+        pte: Pte::EMPTY,
+    };
+}
+
+/// The entries of one page size: contents in `slots`, fill order in
+/// `fifo`.
+struct FifoArray {
+    cap: usize,
+    /// Open-addressed index, power-of-two length, at most half full.
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    live: usize,
+    /// `(key, seq)` per fill, oldest first. A tag is stale once its key
+    /// was invalidated (the slot is gone, or a later fill owns it under a
+    /// newer `seq`); eviction skips stale tags.
+    fifo: VecDeque<(u64, u64)>,
+    next_seq: u64,
+}
+
+impl FifoArray {
+    fn new(cap: usize) -> Self {
+        Self {
+            cap,
+            slots: vec![Slot::EMPTY; MIN_SLOTS],
+            shift: 64 - MIN_SLOTS.trailing_zeros(),
+            live: 0,
+            fifo: VecDeque::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(HASH_MUL) >> self.shift) as usize
+    }
+
+    /// `Ok(slot)` holding `key`, or `Err(slot)` where it would go. The
+    /// index is never full, so the probe always ends.
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let s = &self.slots[i];
+            if s.seq == 0 {
+                return Err(i);
+            }
+            if s.key == key {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn get(&self, key: u64) -> Option<Pte> {
+        self.find(key).ok().map(|i| self.slots[i].pte)
+    }
+
+    /// Inserts or overwrites `key`; a new key past capacity evicts the
+    /// oldest live entry and returns its PTE. An overwrite keeps its FIFO
+    /// position.
+    fn fill(&mut self, key: u64, pte: Pte) -> Option<Pte> {
+        if (self.live + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        match self.find(key) {
+            Ok(i) => {
+                self.slots[i].pte = pte;
+                return None;
+            }
+            Err(i) => {
+                self.next_seq += 1;
+                self.slots[i] = Slot {
+                    key,
+                    seq: self.next_seq,
+                    pte,
+                };
+                self.fifo.push_back((key, self.next_seq));
+                self.live += 1;
+            }
+        }
+        if self.live > self.cap {
+            return self.evict_oldest();
+        }
+        // Stale tags only pile up when invalidations outpace evictions;
+        // dropping them once the queue doubles the capacity costs O(1)
+        // amortized per fill.
+        if self.fifo.len() / 2 > self.cap {
+            let mut fifo = std::mem::take(&mut self.fifo);
+            fifo.retain(|&(key, seq)| self.live_slot(key, seq).is_some());
+            self.fifo = fifo;
+        }
+        None
+    }
+
+    /// The slot of the entry FIFO tag `(key, seq)` stands for, unless the
+    /// tag is stale.
+    fn live_slot(&self, key: u64, seq: u64) -> Option<usize> {
+        self.find(key).ok().filter(|&i| self.slots[i].seq == seq)
+    }
+
+    fn evict_oldest(&mut self) -> Option<Pte> {
+        while let Some((key, seq)) = self.fifo.pop_front() {
+            if let Some(i) = self.live_slot(key, seq) {
+                let pte = self.slots[i].pte;
+                self.remove_at(i);
+                return Some(pte);
+            }
+        }
+        None
+    }
+
+    fn invalidate(&mut self, key: u64) {
+        if let Ok(i) = self.find(key) {
+            self.remove_at(i);
+        }
+    }
+
+    /// Empties slot `hole` by backward-shift deletion: later entries of
+    /// the probe run move up, so no tombstones are needed.
+    fn remove_at(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.slots[i];
+            if s.seq == 0 {
+                break;
+            }
+            // `s` may fill the hole iff the hole lies on its probe path,
+            // cyclically between its home slot and `i`.
+            if (i.wrapping_sub(self.home(s.key)) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = s;
+                hole = i;
+            }
+        }
+        self.slots[hole] = Slot::EMPTY;
+        self.live -= 1;
+    }
+
+    fn grow(&mut self) {
+        let doubled = vec![Slot::EMPTY; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.shift -= 1;
+        for s in old.into_iter().filter(|s| s.seq != 0) {
+            if let Err(i) = self.find(s.key) {
+                self.slots[i] = s;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        if self.live > 0 {
+            self.slots.fill(Slot::EMPTY);
+            self.live = 0;
+        }
+        self.fifo.clear();
+    }
+
+    /// Live entries in slot order.
+    fn resident(&self) -> impl Iterator<Item = Pte> + '_ {
+        self.slots.iter().filter(|s| s.seq != 0).map(|s| s.pte)
+    }
+
+    /// Live entries, oldest first.
+    fn in_fifo_order(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
+        self.fifo
+            .iter()
+            .filter_map(|&(key, seq)| Some((key, self.slots[self.live_slot(key, seq)?].pte)))
+    }
+
+    fn save(&self, w: &mut vusion_snapshot::Writer) {
+        w.usize(self.live);
+        for (key, pte) in self.in_fifo_order() {
+            w.u64(key);
+            w.u64(pte.0);
+        }
+    }
+
+    /// Reads the entries [`Self::save`] wrote into this (empty) array.
+    fn load(
+        &mut self,
+        r: &mut vusion_snapshot::Reader<'_>,
+    ) -> Result<(), vusion_snapshot::SnapshotError> {
+        use vusion_snapshot::SnapshotError;
+        let n = r.usize()?;
+        if n > self.cap {
+            return Err(SnapshotError::Corrupt(
+                "TLB holds more entries than its capacity",
+            ));
+        }
+        for _ in 0..n {
+            let key = r.u64()?;
+            let pte = Pte(r.u64()?);
+            if self.find(key).is_ok() {
+                return Err(SnapshotError::Corrupt("TLB entry duplicated"));
+            }
+            self.fill(key, pte);
+        }
+        Ok(())
+    }
+}
+
 /// Fully associative TLB with FIFO replacement and separate 4 KiB / 2 MiB
 /// arrays (like real x86 STLBs, modeled simply).
 pub struct Tlb {
-    cap_4k: usize,
-    cap_2m: usize,
-    map_4k: BTreeMap<u64, TlbEntry>,
-    fifo_4k: Vec<u64>,
-    map_2m: BTreeMap<u64, TlbEntry>,
-    fifo_2m: Vec<u64>,
+    small: FifoArray,
+    huge: FifoArray,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -44,12 +274,8 @@ impl Tlb {
     pub fn new(cap_4k: usize, cap_2m: usize) -> Self {
         assert!(cap_4k > 0 && cap_2m > 0, "TLB capacities must be positive");
         Self {
-            cap_4k,
-            cap_2m,
-            map_4k: BTreeMap::new(),
-            fifo_4k: Vec::new(),
-            map_2m: BTreeMap::new(),
-            fifo_2m: Vec::new(),
+            small: FifoArray::new(cap_4k),
+            huge: FifoArray::new(cap_2m),
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -64,67 +290,58 @@ impl Tlb {
 
     /// Looks up `va`; counts a hit or miss.
     pub fn lookup(&mut self, va: VirtAddr) -> Option<TlbEntry> {
-        if let Some(e) = self.map_2m.get(&(va.0 / HUGE_PAGE_SIZE)) {
+        let hit = match self.huge.get(va.0 / HUGE_PAGE_SIZE) {
+            Some(pte) => Some(TlbEntry { pte, huge: true }),
+            None => self
+                .small
+                .get(va.page())
+                .map(|pte| TlbEntry { pte, huge: false }),
+        };
+        if hit.is_some() {
             self.hits += 1;
-            return Some(*e);
-        }
-        if let Some(e) = self.map_4k.get(&va.page()) {
-            self.hits += 1;
-            return Some(*e);
-        }
-        self.misses += 1;
-        None
-    }
-
-    /// Inserts a translation after a successful walk.
-    pub fn fill(&mut self, va: VirtAddr, entry: TlbEntry) -> Option<TlbEntry> {
-        if entry.huge {
-            let key = va.0 / HUGE_PAGE_SIZE;
-            if self.map_2m.insert(key, entry).is_none() {
-                self.fifo_2m.push(key);
-                if self.fifo_2m.len() > self.cap_2m {
-                    let evict = self.fifo_2m.remove(0);
-                    return self.map_2m.remove(&evict);
-                }
-            }
         } else {
-            let key = va.page();
-            if self.map_4k.insert(key, entry).is_none() {
-                self.fifo_4k.push(key);
-                if self.fifo_4k.len() > self.cap_4k {
-                    let evict = self.fifo_4k.remove(0);
-                    return self.map_4k.remove(&evict);
-                }
-            }
+            self.misses += 1;
         }
-        None
+        hit
     }
 
-    /// Iterates every resident entry (4 KiB then 2 MiB, each in key
-    /// order). Read-only — snapshot-time occupancy walks use this.
-    pub fn entries(&self) -> impl Iterator<Item = &TlbEntry> {
-        self.map_4k.values().chain(self.map_2m.values())
+    /// Inserts a translation after a successful walk; returns the entry a
+    /// full array evicted.
+    pub fn fill(&mut self, va: VirtAddr, entry: TlbEntry) -> Option<TlbEntry> {
+        let (array, key) = if entry.huge {
+            (&mut self.huge, va.0 / HUGE_PAGE_SIZE)
+        } else {
+            (&mut self.small, va.page())
+        };
+        array.fill(key, entry.pte).map(|pte| TlbEntry {
+            pte,
+            huge: entry.huge,
+        })
+    }
+
+    /// Iterates every resident entry, 4 KiB then 2 MiB, in no particular
+    /// order. Read-only — snapshot-time occupancy walks use this.
+    pub fn entries(&self) -> impl Iterator<Item = TlbEntry> + '_ {
+        let small = self
+            .small
+            .resident()
+            .map(|pte| TlbEntry { pte, huge: false });
+        let huge = self.huge.resident().map(|pte| TlbEntry { pte, huge: true });
+        small.chain(huge)
     }
 
     /// Invalidates any translation covering `va` (`invlpg`).
     pub fn invalidate(&mut self, va: VirtAddr) {
         self.invalidations += 1;
-        if self.map_4k.remove(&va.page()).is_some() {
-            self.fifo_4k.retain(|&k| k != va.page());
-        }
-        let hk = va.0 / HUGE_PAGE_SIZE;
-        if self.map_2m.remove(&hk).is_some() {
-            self.fifo_2m.retain(|&k| k != hk);
-        }
+        self.small.invalidate(va.page());
+        self.huge.invalidate(va.0 / HUGE_PAGE_SIZE);
     }
 
     /// Flushes everything (CR3 reload).
     pub fn flush(&mut self) {
         self.flushes += 1;
-        self.map_4k.clear();
-        self.fifo_4k.clear();
-        self.map_2m.clear();
-        self.fifo_2m.clear();
+        self.small.clear();
+        self.huge.clear();
     }
 
     /// `(hits, misses)` counters.
@@ -153,28 +370,12 @@ impl Tlb {
 
 impl vusion_snapshot::Snapshot for Tlb {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
-        w.usize(self.cap_4k);
-        w.usize(self.cap_2m);
-        // Entries travel in FIFO order; the maps contain exactly the FIFO
-        // keys, so this round-trips both content and eviction order.
-        w.usize(self.fifo_4k.len());
-        for &k in &self.fifo_4k {
-            w.u64(k);
-            let e = self.map_4k.get(&k).copied().unwrap_or(TlbEntry {
-                pte: Pte(0),
-                huge: false,
-            });
-            w.u64(e.pte.0);
-        }
-        w.usize(self.fifo_2m.len());
-        for &k in &self.fifo_2m {
-            w.u64(k);
-            let e = self.map_2m.get(&k).copied().unwrap_or(TlbEntry {
-                pte: Pte(0),
-                huge: true,
-            });
-            w.u64(e.pte.0);
-        }
+        w.usize(self.small.cap);
+        w.usize(self.huge.cap);
+        // Entries travel in FIFO order, so a load round-trips both content
+        // and eviction order.
+        self.small.save(w);
+        self.huge.save(w);
         w.u64(self.hits);
         w.u64(self.misses);
         w.u64(self.invalidations);
@@ -185,23 +386,17 @@ impl vusion_snapshot::Snapshot for Tlb {
         &mut self,
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<(), vusion_snapshot::SnapshotError> {
-        self.cap_4k = r.usize()?;
-        self.cap_2m = r.usize()?;
-        self.flush();
-        let n = r.usize()?;
-        for _ in 0..n {
-            let k = r.u64()?;
-            let pte = Pte(r.u64()?);
-            self.fifo_4k.push(k);
-            self.map_4k.insert(k, TlbEntry { pte, huge: false });
+        let cap_4k = r.usize()?;
+        let cap_2m = r.usize()?;
+        if cap_4k == 0 || cap_2m == 0 {
+            return Err(vusion_snapshot::SnapshotError::Corrupt(
+                "TLB capacity is zero",
+            ));
         }
-        let n = r.usize()?;
-        for _ in 0..n {
-            let k = r.u64()?;
-            let pte = Pte(r.u64()?);
-            self.fifo_2m.push(k);
-            self.map_2m.insert(k, TlbEntry { pte, huge: true });
-        }
+        self.small = FifoArray::new(cap_4k);
+        self.huge = FifoArray::new(cap_2m);
+        self.small.load(r)?;
+        self.huge.load(r)?;
         self.hits = r.u64()?;
         self.misses = r.u64()?;
         self.invalidations = r.u64()?;
@@ -298,5 +493,147 @@ mod tests {
             FrameId(9)
         );
         assert!(t.lookup(VirtAddr(0x2000)).is_some());
+    }
+
+    /// Canonical view of a TLB's content: entries sorted, since the
+    /// indexed TLB promises no iteration order.
+    fn sorted(entries: impl Iterator<Item = TlbEntry>) -> Vec<(u64, bool)> {
+        let mut v: Vec<(u64, bool)> = entries.map(|e| (e.pte.0, e.huge)).collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn saved(save: impl FnOnce(&mut vusion_snapshot::Writer)) -> Vec<u8> {
+        let mut w = vusion_snapshot::Writer::new();
+        save(&mut w);
+        w.into_bytes()
+    }
+
+    /// The indexed TLB against the ordered-map model it replaced: the same
+    /// seeded operation stream must give the same return values, evicted
+    /// victims, counters, contents and snapshot bytes after every step.
+    #[test]
+    fn matches_reference_model() {
+        use vusion_rng::rngs::StdRng;
+        use vusion_rng::{RngExt, SeedableRng};
+        use vusion_snapshot::Snapshot;
+
+        for (seed, cap_4k, cap_2m) in [(1u64, 8usize, 2usize), (2, 3, 1), (3, 16, 4)] {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x71b);
+            let mut new = Tlb::new(cap_4k, cap_2m);
+            let mut old = reference::RefTlb::new(cap_4k, cap_2m);
+            for step in 0..10_000 {
+                // Few huge regions and pages, so hits, refills, evictions
+                // and overlapping 4 KiB / 2 MiB entries are all common.
+                let va = VirtAddr(
+                    rng.random_range(0..2u64) * HUGE_PAGE_SIZE
+                        + rng.random_range(0..2 * cap_4k as u64) * PAGE_SIZE
+                        + rng.random_range(0..PAGE_SIZE),
+                );
+                let frame = rng.random_range(0..1u64 << 20);
+                match rng.random_range(0..100u32) {
+                    0..35 => assert_eq!(new.lookup(va), old.lookup(va), "step {step}"),
+                    35..65 => {
+                        let e = entry(frame, false);
+                        assert_eq!(new.fill(va, e), old.fill(va, e), "step {step}");
+                    }
+                    65..75 => {
+                        let e = entry(frame & !511, true);
+                        assert_eq!(new.fill(va, e), old.fill(va, e), "step {step}");
+                    }
+                    75..98 => {
+                        new.invalidate(va);
+                        old.invalidate(va);
+                    }
+                    _ => {
+                        new.flush();
+                        old.flush();
+                    }
+                }
+                assert_eq!(new.stats(), old.stats(), "step {step}");
+                assert_eq!(new.event_counts(), old.event_counts(), "step {step}");
+                assert_eq!(
+                    sorted(new.entries()),
+                    sorted(old.entries().copied()),
+                    "step {step}"
+                );
+                let bytes = saved(|w| new.save(w));
+                assert_eq!(bytes, saved(|w| old.save(w)), "step {step}");
+                if step % 500 == 0 {
+                    let mut back = Tlb::new(1, 1);
+                    back.load(&mut vusion_snapshot::Reader::new(&bytes))
+                        .expect("own stream loads");
+                    assert_eq!(saved(|w| back.save(w)), bytes, "step {step}");
+                }
+            }
+            assert_eq!(saved(|w| new.save(w)), saved(|w| old.save(w)));
+        }
+    }
+
+    /// A TLB stream with the given capacities and 4 KiB entries (no 2 MiB
+    /// entries, zeroed counters).
+    fn hand_stream(cap_4k: usize, cap_2m: usize, keys_4k: &[u64]) -> Vec<u8> {
+        saved(|w| {
+            w.usize(cap_4k);
+            w.usize(cap_2m);
+            w.usize(keys_4k.len());
+            for &k in keys_4k {
+                w.u64(k);
+                w.u64(entry(k, false).pte.0);
+            }
+            w.usize(0);
+            for _ in 0..4 {
+                w.u64(0);
+            }
+        })
+    }
+
+    fn load(bytes: &[u8]) -> Result<Tlb, vusion_snapshot::SnapshotError> {
+        use vusion_snapshot::Snapshot;
+        let mut t = Tlb::skylake();
+        t.load(&mut vusion_snapshot::Reader::new(bytes))?;
+        Ok(t)
+    }
+
+    #[test]
+    fn load_rejects_impossible_state() {
+        use vusion_snapshot::SnapshotError;
+        assert!(load(&hand_stream(2, 2, &[1, 2])).is_ok());
+        assert!(matches!(
+            load(&hand_stream(0, 2, &[])),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        assert!(matches!(
+            load(&hand_stream(2, 0, &[])),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        assert!(matches!(
+            load(&hand_stream(2, 2, &[1, 2, 3])),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        assert!(matches!(
+            load(&hand_stream(2, 2, &[1, 1])),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn every_truncated_stream_is_an_error() {
+        use vusion_snapshot::Snapshot;
+        let mut t = Tlb::new(8, 2);
+        for p in 0..12u64 {
+            t.fill(VirtAddr(p * PAGE_SIZE), entry(p, false));
+        }
+        t.invalidate(VirtAddr(9 * PAGE_SIZE));
+        t.fill(VirtAddr(HUGE_PAGE_SIZE), entry(512, true));
+        t.lookup(VirtAddr(0x5000));
+        let bytes = saved(|w| t.save(w));
+        assert_eq!(
+            saved(|w| load(&bytes).expect("whole stream").save(w)),
+            bytes
+        );
+        for len in 0..bytes.len() {
+            assert!(load(&bytes[..len]).is_err(), "prefix of {len} bytes");
+        }
     }
 }
