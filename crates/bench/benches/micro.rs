@@ -364,6 +364,41 @@ fn bench_engine_scans(out: &mut Vec<BenchResult>) -> Vec<(&'static str, String)>
         black_box(sys.policy.scan(&mut sys.machine));
         metrics.push(("vusion", sys.metrics_snapshot().to_json()));
     }
+    {
+        // One wakeup is one full round over 512 fake-merged pages: 512
+        // managed-page visits, then the round-boundary re-randomization
+        // that moves every tree page to a fresh pool frame (§7.1 decision
+        // iii) — the per-round cost the row above ablates.
+        let mut m = Machine::new(MachineConfig::test_small());
+        let pid = m.spawn("t").expect("spawn");
+        m.mmap(pid, Vma::anon(VirtAddr(0x10000), 512, Protection::rw()));
+        m.madvise_mergeable(pid, VirtAddr(0x10000), 512);
+        let vusion = VUsion::new(
+            &mut m,
+            VUsionConfig {
+                pages_per_scan: 512,
+                pool_frames: 1024,
+                ..Default::default()
+            },
+        );
+        let mut sys = System::new(m, vusion);
+        for i in 0..512u64 {
+            let byte_off = i / 251;
+            let value = (i % 251) as u8 + 1;
+            sys.write(pid, VirtAddr(0x10000 + i * 4096 + byte_off), value);
+        }
+        for _ in 0..4 {
+            sys.policy.scan(&mut sys.machine);
+        }
+        assert_eq!(
+            sys.policy.stats().fake_merged,
+            512,
+            "every page is fake-merged before timing"
+        );
+        bench(out, "scan_rerandomize_round_vusion_512", || {
+            black_box(sys.policy.scan(&mut sys.machine));
+        });
+    }
     metrics
 }
 

@@ -254,4 +254,130 @@ mod tests {
         assert_eq!(default_pool_frames(65536), 4096);
         assert_eq!(default_pool_frames(100_000_000), 32768);
     }
+
+    /// Asserts that every frame in `owned` is still allocated, mapped by
+    /// no writable PTE of any process, and holds exactly one reference per
+    /// mapping.
+    fn assert_engine_frames_owned(m: &Machine, owned: &[vusion_mem::FrameId], when: &str) {
+        use vusion_kernel::Pid;
+        use vusion_mem::FrameState;
+        use vusion_mmu::PteFlags;
+        let mut mappings: std::collections::BTreeMap<_, u32> =
+            owned.iter().map(|&f| (f, 0)).collect();
+        for p in 0..m.process_count() {
+            let pid = Pid(p);
+            for vma in m.process(pid).space.vmas() {
+                for va in vma.page_addrs() {
+                    let Some(leaf) = m.leaf(pid, va) else {
+                        continue;
+                    };
+                    let frame = leaf.pte.frame();
+                    if let Some(n) = mappings.get_mut(&frame) {
+                        if leaf.pte.is_present() {
+                            assert!(
+                                !leaf.pte.has(PteFlags::WRITABLE),
+                                "{when}: tree frame {frame:?} mapped writable at {pid:?} {va:?}"
+                            );
+                            *n += 1;
+                        }
+                    }
+                }
+            }
+        }
+        for (f, n) in mappings {
+            let info = m.mem().info(f);
+            assert_eq!(
+                info.state,
+                FrameState::Allocated,
+                "{when}: tree frame {f:?} was freed under the engine"
+            );
+            assert_eq!(
+                info.refcount, n,
+                "{when}: tree frame {f:?} has {} references for {n} mappings",
+                info.refcount
+            );
+        }
+    }
+
+    /// Drives the allocation-failure churn under which KSM's and WPF's
+    /// unmerges fail, checking the engine's tree frames after every scan.
+    fn churn_with_failed_unmerges<P: FusionPolicy>(
+        mut sys: System<P>,
+        tree_frames: impl Fn(&P) -> Vec<vusion_mem::FrameId>,
+    ) {
+        use vusion_kernel::PressureConfig;
+        let base = 0x10000u64;
+        let throttled = PressureConfig {
+            budget_min: 4,
+            budget_max: 24,
+            budget_add: 4,
+            ..PressureConfig::standard()
+        };
+        sys.set_pressure_governor(throttled)
+            .expect("throttled governor config validates");
+        let pids: Vec<_> = (0..2)
+            .map(|i| sys.machine.spawn(&format!("p{i}")).expect("spawn"))
+            .collect();
+        for &pid in &pids {
+            sys.machine
+                .mmap(pid, Vma::anon(VirtAddr(base), 48, Protection::rw()));
+            sys.machine.madvise_mergeable(pid, VirtAddr(base), 48);
+        }
+        for &pid in &pids {
+            for pg in 0..48u64 {
+                sys.write_page(
+                    pid,
+                    VirtAddr(base + pg * PAGE_SIZE),
+                    &[(pg % 5) as u8 + 1; PAGE_SIZE as usize],
+                );
+            }
+        }
+        sys.machine.arm_faults();
+        for round in 0..4u8 {
+            for &pid in &pids {
+                for pg in 0..24u64 {
+                    sys.write(pid, VirtAddr(base + pg * PAGE_SIZE), round ^ 0x11);
+                }
+            }
+            for scan in 0..8 {
+                sys.force_scans(1);
+                let frames = tree_frames(&sys.policy);
+                assert_engine_frames_owned(
+                    &sys.machine,
+                    &frames,
+                    &format!("{} round {round} scan {scan}", sys.policy.name()),
+                );
+            }
+        }
+    }
+
+    /// An unmerge that fails (allocation failure, a crash mid-unmerge)
+    /// must leave the write unresolved, not fall through to the kernel's
+    /// copy-on-write: that would copy the page and free a frame the
+    /// engine still indexes, which the next merge could hand to another
+    /// guest while its new owner writes it.
+    #[test]
+    fn failed_unmerges_leave_tree_frames_with_the_engine() {
+        use vusion_mem::FaultPlan;
+        let plan = FaultPlan {
+            alloc_every_nth: 3,
+            alloc_fail_prob: 0.25,
+            ..FaultPlan::NONE
+        };
+        let cfg = MachineConfig::test_small()
+            .with_seed(0xacc7)
+            .with_fault_plan(plan);
+        let m = Machine::new(EngineKind::Ksm.adapt_machine(cfg));
+        let ksm = Ksm::new(KsmConfig::default());
+        churn_with_failed_unmerges(System::new(m, ksm), Ksm::stable_frames);
+        let m = Machine::new(EngineKind::Wpf.adapt_machine(cfg));
+        let wpf = Wpf::new(
+            &m,
+            WpfConfig {
+                pass_period_ns: 20_000_000 * 16,
+            },
+        )
+        .expect("reserved region");
+        churn_with_failed_unmerges(System::new(m, wpf), Wpf::tree_frames);
+    }
 }

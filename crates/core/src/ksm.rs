@@ -16,16 +16,16 @@
 //! `unmerge_on_read` (the copy-on-access modification of Figure 4) and
 //! `zero_only` (zero-page-only fusion, also Figure 4).
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use vusion_kernel::{
     FusionPolicy, Machine, PageFault, Pid, ScanReport, SpanKind, SurfaceTransition,
 };
-use vusion_mem::{CrashSite, FrameId, VirtAddr, PAGE_SIZE};
+use vusion_mem::{CrashSite, FrameId, U64Map, VirtAddr, PAGE_SIZE};
 use vusion_mmu::{GuestTag, Pte, PteFlags, VmaBacking};
 
 use crate::rbtree::{ContentRbTree, NodeId};
-use crate::scan_cache::{CandidateCache, DirtyTracker, HashIndex};
+use crate::scan_cache::{
+    load_page_key, page_key, unpack_page_key, CandidateCache, DirtyTracker, HashIndex,
+};
 use crate::TagCounts;
 
 /// KSM tuning knobs.
@@ -84,7 +84,7 @@ pub struct Ksm {
     stable: ContentRbTree<u32>,
     /// Reverse map: stable frame → tree node.
     // vlint: allow(S001, derived reverse map — rebuilt from the stable tree in load)
-    stable_index: BTreeMap<FrameId, NodeId>,
+    stable_index: U64Map<NodeId>,
     /// Content-hash pre-filter over the stable tree's pages.
     stable_hashes: HashIndex,
     /// Unstable tree: unprotected candidates. Unlike §2.1's
@@ -95,16 +95,17 @@ pub struct Ksm {
     unstable: ContentRbTree<UnstableEntry>,
     /// Reverse map: unstable frame → tree node (for surgical eviction).
     // vlint: allow(S001, derived reverse map — rebuilt from the unstable tree in load)
-    unstable_index: BTreeMap<FrameId, NodeId>,
+    unstable_index: U64Map<NodeId>,
     /// Content-hash pre-filter over the unstable tree's pages.
     unstable_hashes: HashIndex,
     /// Dirty-driven pass list: pages whose mapping and content are
     /// unchanged since their last terminal decision are skipped.
     dirty: DirtyTracker,
-    /// Per-page content checksum from the previous encounter. Entries are
-    /// evicted when their page leaves the candidate list (unmapped VMA,
-    /// exited process), so the map is bounded by the candidate set.
-    checksums: BTreeMap<(usize, u64), u64>,
+    /// Per-page content checksum from the previous encounter, keyed by
+    /// [`page_key`]. Entries are evicted when their page leaves the
+    /// candidate list (unmapped VMA, exited process), so the map is
+    /// bounded by the candidate set.
+    checksums: U64Map<u64>,
     /// Cached candidate list, rebuilt only when the VMA layout changes.
     candidates: CandidateCache,
     /// Global page cursor over the concatenated mergeable VMAs.
@@ -129,13 +130,13 @@ impl Ksm {
         Self {
             cfg,
             stable: ContentRbTree::new(),
-            stable_index: BTreeMap::new(),
+            stable_index: U64Map::new(),
             stable_hashes: HashIndex::default(),
             unstable: ContentRbTree::new(),
-            unstable_index: BTreeMap::new(),
+            unstable_index: U64Map::new(),
             unstable_hashes: HashIndex::default(),
             dirty: DirtyTracker::default(),
-            checksums: BTreeMap::new(),
+            checksums: U64Map::new(),
             candidates: CandidateCache::default(),
             cursor: 0,
             budget: None,
@@ -160,6 +161,16 @@ impl Ksm {
     #[cfg(test)]
     pub(crate) fn hash_indexes(&self) -> Vec<&HashIndex> {
         vec![&self.stable_hashes, &self.unstable_hashes]
+    }
+
+    /// Frames backing stable-tree pages, ascending.
+    #[cfg(test)]
+    pub(crate) fn stable_frames(&self) -> Vec<FrameId> {
+        self.stable_index
+            .sorted()
+            .into_iter()
+            .map(|(f, _)| FrameId(f))
+            .collect()
     }
 
     /// Table 3 accounting.
@@ -339,7 +350,7 @@ impl Ksm {
             m.note_scan_retry();
             return;
         }
-        if self.stable_index.contains_key(&frame) {
+        if self.stable_index.contains_key(frame.0) {
             // Already merged: terminal until the mapping or frame moves.
             self.dirty.mark_seen(m.mem(), pid, va, frame);
             return;
@@ -382,8 +393,7 @@ impl Ksm {
         // tree.
         let h = m.observed_hash(frame);
         crate::charge_page_hash(m);
-        let key = (pid.0, va.page());
-        if self.checksums.insert(key, h) != Some(h) {
+        if self.checksums.insert(page_key(pid, va), h) != Some(h) {
             self.stats.checksum_skips += 1;
             return;
         }
@@ -403,9 +413,9 @@ impl Ksm {
                 .map(|l| l.pte.is_present() && Self::leaf_4k_frame(&l, entry.va) == entry.frame)
                 .unwrap_or(false)
                 && entry.frame != frame
-                && !self.stable_index.contains_key(&entry.frame);
+                && !self.stable_index.contains_key(entry.frame.0);
             self.unstable.remove(node);
-            self.unstable_index.remove(&entry.frame);
+            self.unstable_index.remove(entry.frame.0);
             self.unstable_hashes.remove(entry.frame);
             self.dirty.forget(entry.pid, entry.va);
             // Scan-order priority: real KSM rebuilds the unstable tree
@@ -441,7 +451,7 @@ impl Ksm {
                     .stable
                     .insert(wframe, 1, |a, b| mem.compare_pages(a, b));
                 debug_assert!(inserted, "stable tree had no match a moment ago");
-                self.stable_index.insert(wframe, snode);
+                self.stable_index.insert(wframe.0, snode);
                 self.stable_hashes.insert(m.mem(), wframe);
                 self.merged_live += 1; // The promoted party's own mapping.
                 m.surface_transition(SurfaceTransition::Merge);
@@ -470,7 +480,7 @@ impl Ksm {
                     mem.compare_pages(a, b)
                 });
         if inserted {
-            self.unstable_index.insert(frame, node);
+            self.unstable_index.insert(frame.0, node);
             self.unstable_hashes.insert(mem, frame);
         }
         self.dirty.mark_seen(mem, pid, va, frame);
@@ -482,7 +492,7 @@ impl Ksm {
             return false;
         };
         let stable_frame = leaf.pte.frame();
-        let Some(&node) = self.stable_index.get(&stable_frame) else {
+        let Some(&node) = self.stable_index.get(stable_frame.0) else {
             return false;
         };
         let Some(vma) = m.process(fault.pid).space.find_vma(fault.va).copied() else {
@@ -535,7 +545,7 @@ impl Ksm {
         *self.stable.value_mut(node) -= 1;
         if m.put_frame(stable_frame).unwrap_or(false) {
             self.stable.remove(node);
-            self.stable_index.remove(&stable_frame);
+            self.stable_index.remove(stable_frame.0);
             self.stable_hashes.remove(stable_frame);
         }
         self.merged_live -= 1;
@@ -559,11 +569,10 @@ impl vusion_snapshot::Snapshot for Ksm {
             w.u64(e.frame.0);
         });
         self.unstable_hashes.save(w);
-        let mut sums: Vec<((usize, u64), u64)> =
-            self.checksums.iter().map(|(&k, &v)| (k, v)).collect();
-        sums.sort_unstable();
+        let sums = self.checksums.sorted();
         w.usize(sums.len());
-        for ((pid, page), sum) in sums {
+        for (key, sum) in sums {
+            let (pid, page) = unpack_page_key(key);
             w.usize(pid);
             w.u64(page);
             w.u64(sum);
@@ -593,12 +602,10 @@ impl vusion_snapshot::Snapshot for Ksm {
         // The trees restore slot-exactly, so rebuilding the reverse map
         // from live node ids reproduces the pre-snapshot NodeIds.
         self.stable = ContentRbTree::load_with(r, |r| r.u32())?;
-        self.stable_index = self
-            .stable
-            .ids()
-            .into_iter()
-            .map(|id| (self.stable.frame(id), id))
-            .collect();
+        self.stable_index = U64Map::new();
+        for id in self.stable.ids() {
+            self.stable_index.insert(self.stable.frame(id).0, id);
+        }
         self.stable_hashes = HashIndex::load(r)?;
         self.unstable = ContentRbTree::load_with(r, |r| {
             Ok(UnstableEntry {
@@ -607,17 +614,15 @@ impl vusion_snapshot::Snapshot for Ksm {
                 frame: FrameId(r.u64()?),
             })
         })?;
-        self.unstable_index = self
-            .unstable
-            .ids()
-            .into_iter()
-            .map(|id| (self.unstable.frame(id), id))
-            .collect();
+        self.unstable_index = U64Map::new();
+        for id in self.unstable.ids() {
+            self.unstable_index.insert(self.unstable.frame(id).0, id);
+        }
         self.unstable_hashes = HashIndex::load(r)?;
         let sums = r.usize()?;
-        self.checksums = BTreeMap::new();
+        self.checksums = U64Map::new();
         for _ in 0..sums {
-            let key = (r.usize()?, r.u64()?);
+            let key = load_page_key(r.usize()?, r.u64()?)?;
             self.checksums.insert(key, r.u64()?);
         }
         self.dirty = DirtyTracker::load(r)?;
@@ -657,9 +662,11 @@ impl FusionPolicy for Ksm {
             // drop checksums of pages no longer scanned, so the map stays
             // bounded by the candidate list — and drop the unstable tree
             // and the dirty list, whose (pid, va) keys may now be stale.
-            let live: BTreeSet<(usize, u64)> =
-                pages.iter().map(|&(pid, va)| (pid.0, va.page())).collect();
-            self.checksums.retain(|key, _| live.contains(key));
+            let mut live: U64Map<()> = U64Map::new();
+            for &(pid, va) in &pages {
+                live.insert(page_key(pid, va), ());
+            }
+            self.checksums.retain(|key, _| live.contains_key(key));
             self.unstable.clear();
             self.unstable_index.clear();
             self.unstable_hashes.clear();
@@ -674,9 +681,10 @@ impl FusionPolicy for Ksm {
         // valid. (§2.1 drops the whole tree every round for this reason;
         // with the dirty-driven pass list the tree persists and changed
         // entries are evicted surgically, so clean candidates can still
-        // be matched by late-arriving duplicates.)
+        // be matched by late-arriving duplicates.) Eviction runs in
+        // ascending frame order: it decides which NodeIds are reused.
         for frame in self.unstable_hashes.stale_frames(m.mem()) {
-            if let Some(node) = self.unstable_index.remove(&frame) {
+            if let Some(node) = self.unstable_index.remove(frame.0) {
                 let entry = *self.unstable.value(node);
                 self.unstable.remove(node);
                 self.unstable_hashes.remove(frame);
@@ -724,7 +732,7 @@ impl FusionPolicy for Ksm {
         for i in 0..vusion_mem::HUGE_PAGE_FRAMES {
             let va = VirtAddr(huge_base.0 + i * PAGE_SIZE);
             if let Some(leaf) = m.leaf(pid, va) {
-                if self.stable_index.contains_key(&leaf.pte.frame()) {
+                if self.stable_index.contains_key(leaf.pte.frame().0) {
                     return false;
                 }
             }
@@ -754,7 +762,7 @@ impl FusionPolicy for Ksm {
         self.unstable_index.clear();
         self.unstable_hashes.clear();
         let sums = self.checksums.len() as u64;
-        self.checksums = BTreeMap::new();
+        self.checksums = U64Map::new();
         unstable + sums + self.dirty.shed() + self.candidates.shed()
     }
 

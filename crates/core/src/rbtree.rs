@@ -16,7 +16,7 @@ use std::cmp::Ordering;
 use vusion_mem::FrameId;
 
 /// Handle to a tree node. Stable until the node is removed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct NodeId(pub usize);
 
 const NIL: usize = usize::MAX;

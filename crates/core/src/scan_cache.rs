@@ -9,36 +9,86 @@
 //! layout mutation bumps the machine's epoch. Neither changes a single
 //! simulated-cycle charge or merge decision.
 
-use std::collections::BTreeMap;
-
 use vusion_kernel::{Machine, Pid};
-use vusion_mem::{FrameId, PhysMemory, VirtAddr};
+use vusion_mem::{FrameId, PhysMemory, U64Map, VirtAddr, PAGE_SIZE};
+
+/// Bits of a page key that hold the page number (virtual addresses below
+/// 2^52); the process id takes the 24 bits above them.
+const PAGE_KEY_BITS: u32 = 40;
+
+/// Whether a `(pid, page)` pair fits the page-key layout.
+fn fits_page_key(pid: usize, page: u64) -> bool {
+    (pid as u64) >> (64 - PAGE_KEY_BITS) == 0 && page >> PAGE_KEY_BITS == 0
+}
+
+fn pack_page_key(pid: usize, page: u64) -> u64 {
+    ((pid as u64) << PAGE_KEY_BITS) | page
+}
+
+/// Packs `(pid, page of va)` into one [`U64Map`] key. Keys sort like the
+/// `(pid, page)` pairs they pack, so sorted keys reproduce the order of a
+/// map keyed by the pair.
+pub(crate) fn page_key(pid: Pid, va: VirtAddr) -> u64 {
+    debug_assert!(
+        fits_page_key(pid.0, va.page()),
+        "page key out of range: {pid:?} {va:?}"
+    );
+    pack_page_key(pid.0, va.page())
+}
+
+/// [`page_key`] of a `(pid, page)` pair read from a snapshot stream, or
+/// `Corrupt` if the pair does not fit a key.
+pub(crate) fn load_page_key(pid: usize, page: u64) -> Result<u64, vusion_snapshot::SnapshotError> {
+    if !fits_page_key(pid, page) {
+        return Err(vusion_snapshot::SnapshotError::Corrupt(
+            "page key out of range",
+        ));
+    }
+    Ok(pack_page_key(pid, page))
+}
+
+/// The `(pid, page)` pair a [`page_key`] packs.
+pub(crate) fn unpack_page_key(key: u64) -> (usize, u64) {
+    (
+        (key >> PAGE_KEY_BITS) as usize,
+        key & ((1 << PAGE_KEY_BITS) - 1),
+    )
+}
 
 /// Content-hash index mirroring a content tree's node frames.
 ///
 /// `may_contain(probe)` pre-filters tree searches: if the probe page's
 /// hash is absent from the multiset of tree-page hashes, no tree page can
 /// be content-equal and the O(log n) full-page-compare descent is
-/// skipped. Tree pages are not immutable — guest writes hit unstable-tree
-/// pages and Rowhammer hits anything — so every entry records the frame's
-/// write generation and [`HashIndex::refresh`] re-hashes stale entries at
-/// the top of each scan.
+/// skipped. Every entry records the frame's write generation, so entries
+/// whose page changed since they were recorded can be found
+/// ([`HashIndex::stale_frames`]) — guests write the pages of KSM's
+/// unstable tree, which is evicted surgically that way every wakeup.
+///
+/// Pages of the other trees (KSM's stable tree, WPF's AVL tree, VUsion's
+/// tree) are write-protected or trapped: no guest can write them, so only
+/// a Rowhammer bit flip changes one. [`HashIndex::refresh`] re-syncs them
+/// with one walk after the memory's flip epoch moved, and costs nothing
+/// otherwise.
 #[derive(Default)]
 pub(crate) struct HashIndex {
-    by_frame: BTreeMap<FrameId, (u64, u64)>, // frame -> (hash, write_gen)
-    counts: BTreeMap<u64, u32>,              // hash -> tree pages bearing it
+    by_frame: U64Map<(u64, u64)>, // frame -> (hash, write_gen)
+    counts: U64Map<u32>,          // hash -> tree pages bearing it
+    /// [`PhysMemory::flip_epoch`] at the last full re-sync; `None` until
+    /// the first (a fresh or restored index walks once).
+    synced_epoch: Option<u64>,
 }
 
 impl HashIndex {
-    fn bump(counts: &mut BTreeMap<u64, u32>, hash: u64) {
-        *counts.entry(hash).or_insert(0) += 1;
+    fn bump(counts: &mut U64Map<u32>, hash: u64) {
+        *counts.get_or_insert(hash, 0).0 += 1;
     }
 
-    fn unbump(counts: &mut BTreeMap<u64, u32>, hash: u64) {
-        if let Some(c) = counts.get_mut(&hash) {
+    fn unbump(counts: &mut U64Map<u32>, hash: u64) {
+        if let Some(c) = counts.get_mut(hash) {
             *c -= 1;
             if *c == 0 {
-                counts.remove(&hash);
+                counts.remove(hash);
             }
         }
     }
@@ -47,7 +97,7 @@ impl HashIndex {
     pub(crate) fn insert(&mut self, mem: &PhysMemory, frame: FrameId) {
         let hash = mem.hash_page(frame);
         let gen = mem.info(frame).write_gen;
-        if let Some((old, _)) = self.by_frame.insert(frame, (hash, gen)) {
+        if let Some((old, _)) = self.by_frame.insert(frame.0, (hash, gen)) {
             Self::unbump(&mut self.counts, old);
         }
         Self::bump(&mut self.counts, hash);
@@ -55,7 +105,7 @@ impl HashIndex {
 
     /// Forgets `frame` (removed from the tree).
     pub(crate) fn remove(&mut self, frame: FrameId) {
-        if let Some((hash, _)) = self.by_frame.remove(&frame) {
+        if let Some((hash, _)) = self.by_frame.remove(frame.0) {
             Self::unbump(&mut self.counts, hash);
         }
     }
@@ -66,10 +116,10 @@ impl HashIndex {
     /// flip), this is a plain remove-then-insert.
     pub(crate) fn replace_frame(&mut self, mem: &PhysMemory, old: FrameId, new: FrameId) {
         let hash = mem.hash_page(new);
-        match self.by_frame.remove(&old) {
+        match self.by_frame.remove(old.0) {
             Some((recorded, _)) if recorded == hash => {
                 let gen = mem.info(new).write_gen;
-                if let Some((prev, _)) = self.by_frame.insert(new, (hash, gen)) {
+                if let Some((prev, _)) = self.by_frame.insert(new.0, (hash, gen)) {
                     Self::unbump(&mut self.counts, prev);
                 }
             }
@@ -89,62 +139,74 @@ impl HashIndex {
 
     /// Frames whose recorded write generation no longer matches — their
     /// content changed (or their frame was freed and rewritten) since
-    /// they were indexed.
+    /// they were indexed — in ascending frame order.
     pub(crate) fn stale_frames(&self, mem: &PhysMemory) -> Vec<FrameId> {
-        self.by_frame
+        let mut stale: Vec<FrameId> = self
+            .by_frame
             .iter()
-            .filter(|(f, (_, gen))| mem.info(**f).write_gen != *gen)
-            .map(|(f, _)| *f)
-            .collect()
+            .filter(|&(f, &(_, gen))| mem.info(FrameId(f)).write_gen != gen)
+            .map(|(f, _)| FrameId(f))
+            .collect();
+        stale.sort_unstable();
+        stale
     }
 
-    /// Re-syncs entries whose frame content changed since they were
-    /// recorded (detected via the frame's write generation). Cheap: the
-    /// re-hash itself is served by the frame cache.
-    pub(crate) fn refresh(&mut self, mem: &PhysMemory) {
-        for f in self.stale_frames(mem) {
+    /// Re-syncs an index over pages no guest can write, and reports
+    /// whether any entry was stale. Such a page changes only by a bit
+    /// flip, so while the memory's flip epoch has not moved since the last
+    /// full re-sync, nothing can be stale and this returns at once. Debug
+    /// builds walk anyway and assert that: a stale entry there means some
+    /// other path wrote a frame the tree still owns.
+    pub(crate) fn refresh(&mut self, mem: &PhysMemory) -> bool {
+        let epoch = mem.flip_epoch();
+        if self.synced_epoch == Some(epoch) {
+            debug_assert!(
+                self.stale_frames(mem).is_empty(),
+                "a frame of a guest-unwritable tree changed without a bit flip"
+            );
+            return false;
+        }
+        let stale = self.stale_frames(mem);
+        for &f in &stale {
             self.insert(mem, f);
         }
+        self.synced_epoch = Some(epoch);
+        !stale.is_empty()
     }
 
     /// Whether a tree page *could* be content-equal to `probe`. `false`
     /// is definitive; `true` must be confirmed by the tree search.
     pub(crate) fn may_contain(&self, mem: &PhysMemory, probe: FrameId) -> bool {
-        self.counts.contains_key(&mem.hash_page(probe))
+        self.counts.contains_key(mem.hash_page(probe))
     }
 
-    /// Serializes the per-frame entries (sorted for determinism). The hash
-    /// multiset is derivable, so only `by_frame` is written.
+    /// Serializes the per-frame entries, in ascending frame order. The
+    /// hash multiset is derivable, so only `by_frame` is written.
     pub(crate) fn save(&self, w: &mut vusion_snapshot::Writer) {
-        let mut entries: Vec<(u64, u64, u64)> = self
-            .by_frame
-            .iter()
-            .map(|(f, &(hash, gen))| (f.0, hash, gen))
-            .collect();
-        entries.sort_unstable();
+        let entries = self.by_frame.sorted();
         w.usize(entries.len());
-        for (frame, hash, gen) in entries {
+        for (frame, (hash, gen)) in entries {
             w.u64(frame);
             w.u64(hash);
             w.u64(gen);
         }
     }
 
-    /// Rebuilds an index written by [`Self::save`].
+    /// Rebuilds an index written by [`Self::save`]. The first
+    /// [`Self::refresh`] afterwards walks it.
     pub(crate) fn load(
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<Self, vusion_snapshot::SnapshotError> {
         let count = r.usize()?;
-        let mut by_frame = BTreeMap::new();
-        let mut counts = BTreeMap::new();
+        let mut ix = Self::default();
         for _ in 0..count {
-            let frame = FrameId(r.u64()?);
+            let frame = r.u64()?;
             let hash = r.u64()?;
             let gen = r.u64()?;
-            by_frame.insert(frame, (hash, gen));
-            Self::bump(&mut counts, hash);
+            ix.by_frame.insert(frame, (hash, gen));
+            Self::bump(&mut ix.counts, hash);
         }
-        Ok(Self { by_frame, counts })
+        Ok(ix)
     }
 }
 
@@ -244,7 +306,9 @@ impl CandidateCache {
 /// keep being revisited.
 #[derive(Default)]
 pub(crate) struct DirtyTracker {
-    seen: BTreeMap<(Pid, VirtAddr), (FrameId, u64)>,
+    /// [`page_key`] → `(frame, write_gen)`. Pass-list pages are page
+    /// bases, so the key round-trips the address.
+    seen: U64Map<(u64, u64)>,
 }
 
 impl DirtyTracker {
@@ -258,19 +322,20 @@ impl DirtyTracker {
         va: VirtAddr,
         frame: FrameId,
     ) -> bool {
-        self.seen.get(&(pid, va)) == Some(&(frame, mem.info(frame).write_gen))
+        self.seen.get(page_key(pid, va)) == Some(&(frame.0, mem.info(frame).write_gen))
     }
 
     /// Records the page's decision point: skip it while `frame` still
     /// backs it and its write generation holds.
     pub(crate) fn mark_seen(&mut self, mem: &PhysMemory, pid: Pid, va: VirtAddr, frame: FrameId) {
+        debug_assert_eq!(va.page_offset(), 0, "pass-list pages are page bases");
         self.seen
-            .insert((pid, va), (frame, mem.info(frame).write_gen));
+            .insert(page_key(pid, va), (frame.0, mem.info(frame).write_gen));
     }
 
     /// Forgets one page (it will be re-examined next pass).
     pub(crate) fn forget(&mut self, pid: Pid, va: VirtAddr) {
-        self.seen.remove(&(pid, va));
+        self.seen.remove(page_key(pid, va));
     }
 
     /// Forgets everything (candidate list rebuilt).
@@ -282,7 +347,7 @@ impl DirtyTracker {
     /// (reclaim-ladder shrink): every page is simply re-examined.
     pub(crate) fn shed(&mut self) -> u64 {
         let n = self.seen.len() as u64;
-        self.seen = BTreeMap::new();
+        self.seen = U64Map::new();
         n
     }
 
@@ -292,13 +357,15 @@ impl DirtyTracker {
         self.seen.len()
     }
 
-    /// Serializes the tracked pages (BTreeMap order, deterministic).
+    /// Serializes the tracked pages in ascending `(pid, va)` order.
     pub(crate) fn save(&self, w: &mut vusion_snapshot::Writer) {
-        w.usize(self.seen.len());
-        for (&(pid, va), &(frame, gen)) in &self.seen {
-            w.usize(pid.0);
-            w.u64(va.0);
-            w.u64(frame.0);
+        let seen = self.seen.sorted();
+        w.usize(seen.len());
+        for (key, (frame, gen)) in seen {
+            let (pid, page) = unpack_page_key(key);
+            w.usize(pid);
+            w.u64(page * PAGE_SIZE);
+            w.u64(frame);
             w.u64(gen);
         }
     }
@@ -308,13 +375,18 @@ impl DirtyTracker {
         r: &mut vusion_snapshot::Reader<'_>,
     ) -> Result<Self, vusion_snapshot::SnapshotError> {
         let count = r.usize()?;
-        let mut seen = BTreeMap::new();
+        let mut seen = U64Map::new();
         for _ in 0..count {
-            let pid = Pid(r.usize()?);
+            let pid = r.usize()?;
             let va = VirtAddr(r.u64()?);
-            let frame = FrameId(r.u64()?);
+            let frame = r.u64()?;
             let gen = r.u64()?;
-            seen.insert((pid, va), (frame, gen));
+            if va.page_offset() != 0 {
+                return Err(vusion_snapshot::SnapshotError::Corrupt(
+                    "pass-list page is not a page base",
+                ));
+            }
+            seen.insert(load_page_key(pid, va.page())?, (frame, gen));
         }
         Ok(Self { seen })
     }
@@ -364,6 +436,91 @@ mod tests {
     }
 
     #[test]
+    fn refresh_reports_stale_entries_once() {
+        let mut mem = PhysMemory::new(2);
+        mem.write_byte(PhysAddr(0), 1);
+        let mut ix = HashIndex::default();
+        ix.insert(&mem, FrameId(0));
+        assert!(!ix.refresh(&mem), "nothing changed since insert");
+        mem.flip_bit(PhysAddr(3), 2);
+        assert!(ix.refresh(&mem), "the flipped page was stale");
+        assert!(!ix.refresh(&mem), "re-synced by the previous call");
+        // A flip elsewhere moves the epoch; the walk finds nothing stale.
+        mem.flip_bit(PhysAddr(4096), 0);
+        assert!(!ix.refresh(&mem));
+    }
+
+    #[test]
+    fn stale_frames_come_in_ascending_order() {
+        // KSM evicts stale unstable-tree entries in this order, and the
+        // order decides which tree slots are reused.
+        let mut mem = PhysMemory::new(64);
+        let mut ix = HashIndex::default();
+        for f in (0..64u64).rev() {
+            mem.write_byte(PhysAddr(f * 4096), f as u8 + 1);
+            ix.insert(&mem, FrameId(f));
+        }
+        for f in (0..64u64).filter(|f| f % 3 != 1) {
+            mem.write_byte(PhysAddr(f * 4096 + 1), 9);
+        }
+        let expected: Vec<FrameId> = (0..64u64).filter(|f| f % 3 != 1).map(FrameId).collect();
+        assert_eq!(ix.stale_frames(&mem), expected);
+    }
+
+    /// The flip-epoch invariant's debug oracle: a write that is not a bit
+    /// flip to a page the index covers means some path wrote a frame a
+    /// guest-unwritable tree still owns.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "changed without a bit flip")]
+    fn non_flip_write_to_an_indexed_page_trips_the_oracle() {
+        let mut mem = PhysMemory::new(2);
+        mem.write_byte(PhysAddr(0), 1);
+        let mut ix = HashIndex::default();
+        ix.insert(&mem, FrameId(0));
+        ix.refresh(&mem);
+        mem.write_byte(PhysAddr(5), 9);
+        ix.refresh(&mem);
+    }
+
+    #[test]
+    fn a_hash_equal_to_the_table_marker_is_counted() {
+        // Hand-built stream: frame 3 indexed under hash u64::MAX, the
+        // table's empty-slot marker.
+        let mut w = vusion_snapshot::Writer::new();
+        w.usize(2);
+        for (frame, hash) in [(3u64, u64::MAX), (4, u64::MAX)] {
+            w.u64(frame);
+            w.u64(hash);
+            w.u64(0);
+        }
+        let bytes = w.into_bytes();
+        let mut ix = HashIndex::load(&mut vusion_snapshot::Reader::new(&bytes)).expect("load");
+        assert_eq!(ix.counts.get(u64::MAX), Some(&2));
+        ix.remove(FrameId(3));
+        assert_eq!(ix.counts.get(u64::MAX), Some(&1));
+        ix.remove(FrameId(4));
+        assert!(ix.counts.is_empty());
+        assert!(ix.by_frame.is_empty());
+    }
+
+    #[test]
+    fn page_keys_sort_like_pid_page_pairs() {
+        let pairs = [
+            (Pid(0), VirtAddr(0x7fff_ffff_f000)),
+            (Pid(1), VirtAddr(0)),
+            (Pid(1), VirtAddr(0x1000)),
+            (Pid(300), VirtAddr(0x10000)),
+        ];
+        for w in pairs.windows(2) {
+            assert!(page_key(w[0].0, w[0].1) < page_key(w[1].0, w[1].1));
+        }
+        for (pid, va) in pairs {
+            assert_eq!(unpack_page_key(page_key(pid, va)), (pid.0, va.page()));
+        }
+    }
+
+    #[test]
     fn duplicate_hashes_are_counted_not_clobbered() {
         let mut mem = PhysMemory::new(3);
         mem.write_byte(PhysAddr(0), 7);
@@ -384,11 +541,15 @@ mod tests {
     /// The hash multiset `counts` must always equal the one derived from
     /// the per-frame entries.
     fn assert_counts_derived(ix: &HashIndex) {
-        let mut rebuilt = BTreeMap::new();
-        for &(hash, _) in ix.by_frame.values() {
+        let mut rebuilt = U64Map::new();
+        for (_, &(hash, _)) in ix.by_frame.iter() {
             HashIndex::bump(&mut rebuilt, hash);
         }
-        assert_eq!(ix.counts, rebuilt, "hash multiset drifted from by_frame");
+        assert_eq!(
+            ix.counts.sorted(),
+            rebuilt.sorted(),
+            "hash multiset drifted from by_frame"
+        );
     }
 
     #[test]
@@ -432,7 +593,8 @@ mod tests {
     /// entries were current.
     fn assert_current_entries_match(ix: &HashIndex, mem: &PhysMemory) -> usize {
         let mut current = 0;
-        for (&frame, &(hash, gen)) in &ix.by_frame {
+        for (frame, &(hash, gen)) in ix.by_frame.iter() {
+            let frame = FrameId(frame);
             if mem.info(frame).write_gen == gen {
                 assert_eq!(hash, mem.hash_page(frame), "stale hash for {frame:?}");
                 current += 1;

@@ -27,19 +27,17 @@
 //! [`FusionPolicy::prepare_collapse`] lets the (secured) `khugepaged`
 //! fake-unmerge sub-pages before re-collapsing hot ranges.
 
-use std::collections::BTreeMap;
-
 use vusion_kernel::{
     FusionPolicy, Machine, PageFault, Pid, ScanReport, SpanKind, SurfaceTransition,
 };
 use vusion_mem::{
-    CrashSite, DeferredFreeQueue, FrameId, MmError, PageType, RandomPool, VirtAddr,
+    CrashSite, DeferredFreeQueue, FrameId, MmError, PageType, RandomPool, U64Map, VirtAddr,
     HUGE_PAGE_FRAMES, PAGE_SIZE,
 };
-use vusion_mmu::{GuestTag, Pte, PteFlags, VmaBacking};
+use vusion_mmu::{GuestTag, PageTables, Pte, PteFlags, VmaBacking};
 
 use crate::rbtree::{ContentRbTree, NodeId};
-use crate::scan_cache::{CandidateCache, HashIndex};
+use crate::scan_cache::{load_page_key, page_key, unpack_page_key, CandidateCache, HashIndex};
 use crate::TagCounts;
 
 /// A set of frames, one bit per frame number.
@@ -171,8 +169,8 @@ pub struct VUsion {
     tree_hashes: HashIndex,
     /// Cached mergeable-page list, invalidated by the layout epoch.
     candidates: CandidateCache,
-    /// Reverse map: trapped page → node.
-    page_state: BTreeMap<(usize, u64), NodeId>,
+    /// Reverse map: trapped page ([`page_key`]) → node.
+    page_state: U64Map<NodeId>,
     pool: RandomPool,
     deferred: DeferredFreeQueue,
     cursor: u64,
@@ -202,7 +200,7 @@ impl VUsion {
             tree_index: FrameSet::default(),
             tree_hashes: HashIndex::default(),
             candidates: CandidateCache::default(),
-            page_state: BTreeMap::new(),
+            page_state: U64Map::new(),
             pool,
             deferred: DeferredFreeQueue::new(),
             cursor: 0,
@@ -243,7 +241,7 @@ impl VUsion {
 
     /// Whether a page is currently under fusion management (trapped).
     pub fn is_managed(&self, pid: Pid, va: VirtAddr) -> bool {
-        self.page_state.contains_key(&(pid.0, va.page()))
+        self.page_state.contains_key(page_key(pid, va))
     }
 
     fn trace_alloc(&mut self, frame: FrameId) {
@@ -346,7 +344,7 @@ impl VUsion {
     /// One page through the S⊕F pipeline.
     fn scan_one(&mut self, m: &mut Machine, pid: Pid, va: VirtAddr, report: &mut ScanReport) {
         report.pages_scanned += 1;
-        if self.page_state.contains_key(&(pid.0, va.page())) {
+        if self.page_state.contains_key(page_key(pid, va)) {
             return; // Already under management.
         }
         let Some(mut leaf) = m.leaf(pid, va) else {
@@ -370,11 +368,7 @@ impl VUsion {
                 // Break only *idle* huge pages (§8.1): an active THP stays.
                 let was_accessed = {
                     let (mem, _buddy, procs) = m.mm_parts();
-                    let was = procs[pid.0]
-                        .space
-                        .tables_mut()
-                        .test_and_clear_accessed(mem, va.huge_base())
-                        .unwrap_or(true);
+                    let was = PageTables::test_and_clear_leaf_accessed(mem, &leaf);
                     // Linux's idle tracking flushes the TLB after clearing
                     // the bit, or cached translations would hide accesses.
                     procs[pid.0].tlb.invalidate(va.huge_base());
@@ -401,14 +395,11 @@ impl VUsion {
         if !leaf.pte.is_present() || leaf.pte.is_trapped() {
             return;
         }
-        // Working-set estimation (§7.2): consider only idle pages.
+        // Working-set estimation (§7.2): consider only idle pages. The
+        // bit is cleared through the leaf walked above.
         let was_accessed = {
             let (mem, _buddy, procs) = m.mm_parts();
-            let was = procs[pid.0]
-                .space
-                .tables_mut()
-                .test_and_clear_accessed(mem, va.page_base())
-                .unwrap_or(true);
+            let was = PageTables::test_and_clear_leaf_accessed(mem, &leaf);
             // TLB shootdown, as Linux's idle page tracking performs.
             procs[pid.0].tlb.invalidate(va.page_base());
             was
@@ -454,7 +445,7 @@ impl VUsion {
                     return;
                 }
                 self.tree.value_mut(node).push((pid, va));
-                self.page_state.insert((pid.0, va.page()), node);
+                self.page_state.insert(page_key(pid, va), node);
                 self.release_candidate(m, pid, va, frame);
                 let costs = m.costs();
                 m.scan_cost(costs.pte_update + costs.buddy_interaction);
@@ -500,7 +491,7 @@ impl VUsion {
                 debug_assert!(inserted, "tree had no match a moment ago");
                 self.tree_index.insert(new);
                 self.tree_hashes.insert(m.mem(), new);
-                self.page_state.insert((pid.0, va.page()), node);
+                self.page_state.insert(page_key(pid, va), node);
                 self.release_candidate(m, pid, va, frame);
                 let costs = m.costs();
                 m.scan_cost(costs.copy_page + costs.pte_update + costs.buddy_interaction);
@@ -561,7 +552,7 @@ impl VUsion {
     /// and unhandled; the faulting access retries, indistinguishably from
     /// a slow success — the Same Behavior principle extended to errors.
     fn copy_on_access(&mut self, m: &mut Machine, fault: &PageFault) -> bool {
-        let Some(&node) = self.page_state.get(&(fault.pid.0, fault.va.page())) else {
+        let Some(&node) = self.page_state.get(page_key(fault.pid, fault.va)) else {
             return false;
         };
         // The page is ours: from here on the work is a CoA attempt (span
@@ -606,7 +597,7 @@ impl VUsion {
             }
             return false;
         }
-        self.page_state.remove(&(fault.pid.0, fault.va.page()));
+        self.page_state.remove(page_key(fault.pid, fault.va));
         let (_, died) = self.detach_mapping(m, fault.pid, fault.va, node);
         let costs = m.costs();
         if self.cfg.ablate_deferred_free {
@@ -650,7 +641,7 @@ impl VUsion {
             }
             return false;
         }
-        self.page_state.remove(&(pid.0, va.page()));
+        self.page_state.remove(page_key(pid, va));
         let _ = self.detach_mapping(m, pid, va, node);
         m.surface_transition(SurfaceTransition::Unmerge);
         self.stats.collapse_unmerges += 1;
@@ -671,41 +662,38 @@ impl VUsion {
                 continue;
             }
             let old = self.tree.frame(node);
-            let mappings = self.tree.value(node).clone();
             let Ok(new) = self.ra_alloc(m, PageType::Fused) else {
                 // Pool exhausted: keep the old backing frame this round
                 // (weaker randomization, never a crash) and retry later.
                 m.note_scan_retry();
                 continue;
             };
+            // The mapping list leaves the node while it is repointed and
+            // goes back below, on either path.
+            let mappings = std::mem::take(self.tree.value_mut(node));
             // Transfer one reference per mapping.
             for _ in 1..mappings.len() {
                 m.mem_mut().info_mut(new).get();
             }
-            let mut moved: Vec<(Pid, VirtAddr)> = Vec::new();
-            let mut all_moved = true;
+            // Each mapping is walked once and repointed through that walk.
+            let mut moved = 0;
             for &(pid, va) in &mappings {
-                let repointed = match m.leaf(pid, va) {
-                    Some(leaf) => m.set_leaf(pid, va, leaf.pte.with_frame(new)).is_ok(),
-                    None => false,
-                };
-                if repointed {
-                    moved.push((pid, va));
-                } else {
-                    all_moved = false;
+                let Some(leaf) = m.leaf(pid, va) else {
                     break;
-                }
+                };
+                m.rewrite_leaf(pid, va, &leaf, leaf.pte.with_frame(new));
+                moved += 1;
             }
-            if !all_moved {
+            if moved < mappings.len() {
                 // A mapping vanished mid-transfer: point everything back at
                 // the old frame and give the new one back. The copy gives
                 // `new` the same write-generation history as a completed
                 // transfer would have, so snapshots do not depend on
                 // which path ran.
                 m.mem_mut().copy_page(old, new);
-                for &(pid, va) in &moved {
+                for &(pid, va) in &mappings[..moved] {
                     if let Some(leaf) = m.leaf(pid, va) {
-                        let _ = m.set_leaf(pid, va, leaf.pte.with_frame(old));
+                        m.rewrite_leaf(pid, va, &leaf, leaf.pte.with_frame(old));
                     }
                 }
                 for _ in 1..mappings.len() {
@@ -714,6 +702,7 @@ impl VUsion {
                 if m.mem_mut().info_mut(new).put() {
                     self.ra_release(m, new);
                 }
+                *self.tree.value_mut(node) = mappings;
                 m.note_scan_retry();
                 continue;
             }
@@ -723,6 +712,7 @@ impl VUsion {
             for _ in 0..mappings.len() {
                 m.mem_mut().info_mut(old).put();
             }
+            *self.tree.value_mut(node) = mappings;
             self.tree.set_frame(node, new);
             self.tree_index.remove(old);
             self.tree_index.insert(new);
@@ -772,14 +762,13 @@ impl vusion_snapshot::Snapshot for VUsion {
         });
         self.tree_hashes.save(w);
         self.candidates.save(w);
-        let mut pages: Vec<((usize, u64), usize)> =
-            self.page_state.iter().map(|(&k, &v)| (k, v.0)).collect();
-        pages.sort_unstable();
+        let pages = self.page_state.sorted();
         w.usize(pages.len());
-        for ((pid, page), node) in pages {
+        for (key, node) in pages {
+            let (pid, page) = unpack_page_key(key);
             w.usize(pid);
             w.u64(page);
-            w.usize(node);
+            w.usize(node.0);
         }
         self.pool.save(w);
         self.deferred.save(w);
@@ -821,18 +810,30 @@ impl vusion_snapshot::Snapshot for VUsion {
             Ok(mappings)
         })?;
         // Slot-exact tree restore keeps NodeIds valid, so page_state
-        // reloads verbatim; tree_index is rebuilt from the tree.
+        // reloads verbatim; tree_index is rebuilt from the tree, and so is
+        // the mapping → node map every page_state entry must agree with.
         self.tree_index = FrameSet::default();
+        let mut mapped = U64Map::new();
         for id in self.tree.ids() {
             self.tree_index.insert(self.tree.frame(id));
+            for &(pid, va) in self.tree.value(id) {
+                mapped.insert(load_page_key(pid.0, va.page())?, id);
+            }
         }
         self.tree_hashes = HashIndex::load(r)?;
         self.candidates = CandidateCache::load(r)?;
         let pages = r.usize()?;
-        self.page_state = BTreeMap::new();
+        self.page_state = U64Map::new();
         for _ in 0..pages {
-            let key = (r.usize()?, r.u64()?);
-            self.page_state.insert(key, NodeId(r.usize()?));
+            let key = load_page_key(r.usize()?, r.u64()?)?;
+            let node = NodeId(r.usize()?);
+            // A dead node maps nothing, so this also rejects dead ids.
+            if mapped.get(key) != Some(&node) {
+                return Err(vusion_snapshot::SnapshotError::Corrupt(
+                    "vusion page state entry is not among a live node's mappings",
+                ));
+            }
+            self.page_state.insert(key, node);
         }
         self.pool.load(r)?;
         self.deferred.load(r)?;
@@ -935,7 +936,7 @@ impl FusionPolicy for VUsion {
             // containing them.
             for i in 0..HUGE_PAGE_FRAMES {
                 let va = VirtAddr(huge_base.0 + i * PAGE_SIZE);
-                if self.page_state.contains_key(&(pid.0, va.page())) {
+                if self.page_state.contains_key(page_key(pid, va)) {
                     return false;
                 }
             }
@@ -946,7 +947,7 @@ impl FusionPolicy for VUsion {
         // — khugepaged retries the range later.
         for i in 0..HUGE_PAGE_FRAMES {
             let va = VirtAddr(huge_base.0 + i * PAGE_SIZE);
-            if let Some(&node) = self.page_state.get(&(pid.0, va.page())) {
+            if let Some(&node) = self.page_state.get(page_key(pid, va)) {
                 if !self.unmerge_quiet(m, pid, va, node) {
                     return false;
                 }
@@ -1252,6 +1253,53 @@ mod tests {
             "sub-page fake-unmerged"
         );
         assert!(s.policy.stats().collapse_unmerges >= 1);
+    }
+
+    /// Saves a settled engine whose `page_state` went through `edit`, then
+    /// loads that stream into a fresh engine.
+    fn load_edited_page_state(
+        edit: impl FnOnce(&mut VUsion, Pid),
+    ) -> Result<(), vusion_snapshot::SnapshotError> {
+        use vusion_snapshot::Snapshot;
+        let (mut s, a, v) = system(small_cfg());
+        s.write_page(a, VirtAddr(BASE), &page(20)); // Merged with v's copy.
+        s.write_page(v, VirtAddr(BASE), &page(20));
+        s.write_page(a, VirtAddr(BASE + PAGE_SIZE), &page(21)); // Fake merged.
+        settle(&mut s);
+        assert!(s.policy.is_managed(a, VirtAddr(BASE)));
+        assert!(s.policy.is_managed(a, VirtAddr(BASE + PAGE_SIZE)));
+        edit(&mut s.policy, a);
+        let mut w = vusion_snapshot::Writer::new();
+        s.policy.save(&mut w);
+        let bytes = w.into_bytes();
+        let (mut fresh, _, _) = system(small_cfg());
+        fresh.policy.load(&mut vusion_snapshot::Reader::new(&bytes))
+    }
+
+    #[test]
+    fn load_rejects_page_state_naming_a_dead_node() {
+        use vusion_snapshot::SnapshotError;
+        assert!(load_edited_page_state(|_, _| {}).is_ok());
+        // At load time the id is just a number; without the check the
+        // first copy-on-access fault on the page would hit a stale id.
+        let dead = load_edited_page_state(|e, a| {
+            e.page_state
+                .insert(page_key(a, VirtAddr(BASE)), NodeId(1 << 20));
+        });
+        assert!(matches!(dead, Err(SnapshotError::Corrupt(_))), "{dead:?}");
+        // A live node that does not map the page: the fake-merged page's
+        // node claimed for the merged page.
+        let foreign = load_edited_page_state(|e, a| {
+            let other = *e
+                .page_state
+                .get(page_key(a, VirtAddr(BASE + PAGE_SIZE)))
+                .expect("managed");
+            e.page_state.insert(page_key(a, VirtAddr(BASE)), other);
+        });
+        assert!(
+            matches!(foreign, Err(SnapshotError::Corrupt(_))),
+            "{foreign:?}"
+        );
     }
 
     #[test]

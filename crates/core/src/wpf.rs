@@ -17,13 +17,12 @@
 //!   allocator, which re-reserves from the end of memory on the next pass —
 //!   near-perfect reuse (Figure 3), hence reuse-based Flip Feng Shui.
 
-use std::collections::BTreeMap;
-
 use vusion_kernel::{
     FusionPolicy, Machine, PageFault, Pid, ScanReport, SpanKind, SurfaceTransition,
 };
 use vusion_mem::{
-    CrashSite, FrameAllocator, FrameId, LinearAllocator, MmError, PageType, VirtAddr, PAGE_SIZE,
+    CrashSite, FrameAllocator, FrameId, LinearAllocator, MmError, PageType, U64Map, VirtAddr,
+    PAGE_SIZE,
 };
 use vusion_mmu::{GuestTag, Pte, PteFlags, VmaBacking};
 
@@ -82,7 +81,7 @@ pub struct Wpf {
     /// The stable AVL tree: fused content → mapping count.
     avl: ContentAvlTree<u32>,
     /// Frames owned by the AVL tree.
-    avl_index: BTreeMap<FrameId, ()>,
+    avl_index: U64Map<()>,
     /// Content-hash pre-filter over the AVL tree's pages.
     avl_hashes: HashIndex,
     /// Cached page enumeration (every VMA page of every process), rebuilt
@@ -125,7 +124,7 @@ impl Wpf {
         Ok(Self {
             cfg,
             avl: ContentAvlTree::new(),
-            avl_index: BTreeMap::new(),
+            avl_index: U64Map::new(),
             avl_hashes: HashIndex::default(),
             candidates: CandidateCache::default(),
             linear: LinearAllocator::new(base, frames),
@@ -149,6 +148,16 @@ impl Wpf {
     #[cfg(test)]
     pub(crate) fn hash_indexes(&self) -> Vec<&HashIndex> {
         vec![&self.avl_hashes]
+    }
+
+    /// Frames backing AVL-tree pages, ascending.
+    #[cfg(test)]
+    pub(crate) fn tree_frames(&self) -> Vec<FrameId> {
+        self.avl_index
+            .sorted()
+            .into_iter()
+            .map(|(f, ())| FrameId(f))
+            .collect()
     }
 
     /// Table 3 accounting.
@@ -243,12 +252,11 @@ impl Wpf {
         let mut report = ScanReport::default();
         self.last_pass_frames.clear();
         // Tree pages can change in place between passes (Rowhammer on a
-        // fused page — the §5.2 attack). Note whether any did *before*
-        // re-syncing the hash pre-filter: a changed tree page can turn a
+        // fused page — the §5.2 attack). Re-syncing the hash pre-filter
+        // reports whether any did: a changed tree page can turn a
         // previously singleton candidate into a merge, so it disqualifies
         // the all-clean fast path below.
-        let tree_dirty = !self.avl_hashes.stale_frames(m.mem()).is_empty();
-        self.avl_hashes.refresh(m.mem());
+        let tree_dirty = self.avl_hashes.refresh(m.mem());
         // 1. Enumerate candidate pages of every process (no opt-in),
         // read-only. The page enumeration is cached against the layout
         // epoch; the per-page leaf checks still run every pass.
@@ -267,7 +275,7 @@ impl Wpf {
                 continue;
             }
             let frame = leaf.pte.frame();
-            if self.avl_index.contains_key(&frame) {
+            if self.avl_index.contains_key(frame.0) {
                 continue; // Already fused.
             }
             let (_, cache_key) = Self::vma_info(m, pid, va);
@@ -424,7 +432,7 @@ impl Wpf {
                     let (id, inserted) = self.avl.insert(f, 0, |a, b| mem.compare_pages(a, b));
                     debug_assert!(inserted);
                     let _ = id;
-                    self.avl_index.insert(f, ());
+                    self.avl_index.insert(f.0, ());
                     self.avl_hashes.insert(m.mem(), f);
                     self.last_pass_frames.push(f);
                     self.stats.tree_pages_allocated += 1;
@@ -482,7 +490,7 @@ impl Wpf {
                 // Nothing merged onto the freshly reserved frame (every
                 // member CoW'd away or its PTE write failed): roll back the
                 // reservation so the frame is not leaked.
-                self.avl_index.remove(&tree_frame);
+                self.avl_index.remove(tree_frame.0);
                 self.avl_hashes.remove(tree_frame);
                 let removed = {
                     let mem = m.mem();
@@ -513,7 +521,7 @@ impl Wpf {
                     .leaf(pid, va)
                     .map(|l| !l.huge && l.pte.is_present() && l.pte.frame() == frame)
                     .unwrap_or(false);
-                if still && !self.avl_index.contains_key(&frame) {
+                if still && !self.avl_index.contains_key(frame.0) {
                     self.dirty.mark_seen(m.mem(), pid, va, frame);
                 }
             }
@@ -529,7 +537,7 @@ impl Wpf {
             return false;
         };
         let tree_frame = leaf.pte.frame();
-        if !self.avl_index.contains_key(&tree_frame) {
+        if !self.avl_index.contains_key(tree_frame.0) {
             return false;
         }
         let Some(vma) = m.process(fault.pid).space.find_vma(fault.va).copied() else {
@@ -577,7 +585,7 @@ impl Wpf {
             // Last sharer gone: the frame goes back to the linear
             // allocator and will be re-reserved, from the end of memory,
             // on the next pass (Figure 3).
-            self.avl_index.remove(&tree_frame);
+            self.avl_index.remove(tree_frame.0);
             self.avl_hashes.remove(tree_frame);
             let removed = {
                 let mem = m.mem();
@@ -588,11 +596,13 @@ impl Wpf {
                 // a fused page — the §5.2 attack does exactly this), so the
                 // content-keyed search can no longer locate the node.
                 // Rebuild the tree from the index so no stale node keeps
-                // pointing at the freed frame.
-                let frames: Vec<FrameId> = self.avl_index.keys().copied().collect();
+                // pointing at the freed frame. Frames go in ascending
+                // order: insertion order shapes the rebuilt tree.
+                let frames = self.avl_index.sorted();
                 self.avl.clear();
                 self.avl_hashes.clear();
-                for f in frames {
+                for (f, ()) in frames {
+                    let f = FrameId(f);
                     let mem = m.mem();
                     self.avl.insert(f, 0, |a, b| mem.compare_pages(a, b));
                     self.avl_hashes.insert(mem, f);
@@ -613,8 +623,12 @@ impl vusion_snapshot::Snapshot for Wpf {
     fn save(&self, w: &mut vusion_snapshot::Writer) {
         w.u64(self.cfg.pass_period_ns);
         self.avl.save_with(w, |v, w| w.u32(*v));
-        let mut owned: Vec<u64> = self.avl_index.keys().map(|f| f.0).collect();
-        owned.sort_unstable();
+        let owned: Vec<u64> = self
+            .avl_index
+            .sorted()
+            .into_iter()
+            .map(|(f, ())| f)
+            .collect();
         w.u64s(&owned);
         self.avl_hashes.save(w);
         self.candidates.save(w);
@@ -650,7 +664,10 @@ impl vusion_snapshot::Snapshot for Wpf {
     ) -> Result<(), vusion_snapshot::SnapshotError> {
         self.cfg.pass_period_ns = r.u64()?;
         self.avl = ContentAvlTree::load_with(r, |r| r.u32())?;
-        self.avl_index = r.u64s()?.into_iter().map(|f| (FrameId(f), ())).collect();
+        self.avl_index = U64Map::new();
+        for f in r.u64s()? {
+            self.avl_index.insert(f, ());
+        }
         self.avl_hashes = HashIndex::load(r)?;
         self.candidates = CandidateCache::load(r)?;
         self.dirty = DirtyTracker::load(r)?;
@@ -716,7 +733,7 @@ impl FusionPolicy for Wpf {
         for i in 0..vusion_mem::HUGE_PAGE_FRAMES {
             let va = VirtAddr(huge_base.0 + i * PAGE_SIZE);
             if let Some(leaf) = m.leaf(pid, va) {
-                if self.avl_index.contains_key(&leaf.pte.frame()) {
+                if self.avl_index.contains_key(leaf.pte.frame().0) {
                     return false;
                 }
             }

@@ -818,11 +818,19 @@ impl Machine {
     /// Overwrites the leaf PTE mapping `va` and shoots down the TLB entry.
     /// Reports [`MmError::BadPageTable`] if `va` has no leaf entry.
     pub fn set_leaf(&mut self, pid: Pid, va: VirtAddr, pte: Pte) -> Result<(), MmError> {
-        let p = &mut self.processes[pid.0];
-        p.space.tables_mut().set_leaf(&mut self.mem, va, pte)?;
-        p.tlb.invalidate(va);
-        self.trace_instant("mmu", InstantKind::TlbShootdown, va.0);
+        let leaf = self.leaf(pid, va).ok_or(MmError::BadPageTable(va))?;
+        self.rewrite_leaf(pid, va, &leaf, pte);
         Ok(())
+    }
+
+    /// [`Machine::set_leaf`] through the entry a walk of `va` just
+    /// returned, without walking again: the same PTE write, TLB
+    /// invalidation and shootdown trace. `leaf` must come from
+    /// [`Machine::leaf`] for `(pid, va)` since that mapping last changed.
+    pub fn rewrite_leaf(&mut self, pid: Pid, va: VirtAddr, leaf: &LeafInfo, pte: Pte) {
+        PageTables::rewrite_leaf(&mut self.mem, leaf, pte);
+        self.processes[pid.0].tlb.invalidate(va);
+        self.trace_instant("mmu", InstantKind::TlbShootdown, va.0);
     }
 
     /// Per-process TLB counters summed machine-wide:
@@ -1283,6 +1291,28 @@ impl Machine {
             return false; // CoW on huge mappings is handled by policies.
         }
         let old = leaf.pte.frame();
+        // The kernel itself write-protects only page-cache pages (file
+        // pages map read-only, private writes copy). Every other
+        // write-protected page belongs to a fusion engine, which still
+        // indexes its frame: copying here would free that frame under the
+        // engine. A write the engine could not resolve (OOM, a crash
+        // mid-unmerge) stays unresolved, and the access retries.
+        let cached = match vma.backing {
+            VmaBacking::File {
+                file_id,
+                offset_pages,
+            } => {
+                let page = offset_pages + (fault.va.0 - vma.start.0) / PAGE_SIZE;
+                self.processes[fault.pid.0]
+                    .page_cache
+                    .get(&(file_id, page))
+                    .copied()
+            }
+            VmaBacking::Anon => None,
+        };
+        if cached != Some(old) {
+            return false;
+        }
         // OOM on the CoW copy is a countable event: the write simply stays
         // unresolved (the guest would be OOM-killed; the simulation reports
         // it through SystemStats instead).

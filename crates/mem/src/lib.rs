@@ -20,6 +20,8 @@
 //!   decision (ii): frames freed during copy-on-access are queued and
 //!   released in the background so the fault path takes the same time for
 //!   merged and fake-merged pages.
+//! * [`U64Map`] — the deterministic open-addressed `u64`-keyed table behind
+//!   the TLB index and the fusion engines' scan state.
 
 pub mod addr;
 pub mod buddy;
@@ -30,6 +32,7 @@ pub mod frame;
 pub mod linear;
 pub mod phys;
 pub mod random_pool;
+pub mod table;
 
 pub use addr::{FrameId, PhysAddr, VirtAddr, HUGE_PAGE_FRAMES, HUGE_PAGE_SIZE, PAGE_SIZE};
 pub use buddy::{BuddyAllocator, BuddyStats};
@@ -42,6 +45,7 @@ pub use frame::{FrameInfo, FrameState, PageType};
 pub use linear::LinearAllocator;
 pub use phys::{content_hash, FrameInfoMut, PhysMemory};
 pub use random_pool::RandomPool;
+pub use table::U64Map;
 
 /// A frame allocator: the interface fusion engines use to obtain backing
 /// frames. Implemented by [`BuddyAllocator`], [`LinearAllocator`] and

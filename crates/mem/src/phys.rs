@@ -121,6 +121,12 @@ pub struct PhysMemory {
     cache: Vec<Cell<FrameCache>>,
     // vlint: allow(S001, derived tallies — recounted from the frame table in load)
     counts: FrameCounts,
+    /// Count of [`PhysMemory::flip_bit`] calls — the only way a page no
+    /// guest can write changes. Host-only: a hash filter compares it with
+    /// the value at its own last re-sync, and restored filters re-sync
+    /// on first use, so it never needs to travel.
+    // vlint: allow(S001, host-only change epoch — compared only against values read from this same memory; restored hash filters start unsynced)
+    flip_epoch: u64,
 }
 
 impl PhysMemory {
@@ -133,6 +139,7 @@ impl PhysMemory {
                 .map(|_| Cell::new(FrameCache::default()))
                 .collect(),
             counts: FrameCounts::default(),
+            flip_epoch: 0,
         }
     }
 
@@ -424,7 +431,21 @@ impl PhysMemory {
         let old = self.read_byte(addr);
         let new = old ^ (1 << bit);
         self.write_byte(addr, new);
+        self.flip_epoch += 1;
         new
+    }
+
+    /// Number of [`PhysMemory::flip_bit`] calls on this memory so far.
+    ///
+    /// Fusion engines keep content-hash filters over pages no guest can
+    /// write (write-protected or trapped): such a page changes only by a
+    /// bit flip, so while this epoch holds, their recorded hashes are
+    /// still current and no re-sync walk is needed. Host-only state: it
+    /// is not part of a snapshot, and [`Snapshot::load`] leaves it alone.
+    ///
+    /// [`Snapshot::load`]: vusion_snapshot::Snapshot::load
+    pub fn flip_epoch(&self) -> u64 {
+        self.flip_epoch
     }
 
     /// Number of frames currently in the [`FrameState::Allocated`] state;
@@ -538,6 +559,21 @@ mod tests {
         let m = PhysMemory::new(4);
         assert!(m.is_zero(FrameId(0)));
         assert_eq!(m.read_byte(PhysAddr(100)), 0);
+    }
+
+    #[test]
+    fn flip_epoch_counts_bit_flips_only() {
+        let mut m = PhysMemory::new(3);
+        m.write_byte(PhysAddr(1), 5);
+        m.write_u64(PhysAddr(8), 9);
+        m.write_page(FrameId(1), &[3; PAGE_SIZE as usize]);
+        m.copy_page(FrameId(1), FrameId(2));
+        m.move_page(FrameId(2), FrameId(0));
+        m.zero_page(FrameId(1));
+        assert_eq!(m.flip_epoch(), 0, "tracked writes leave the epoch alone");
+        m.flip_bit(PhysAddr(7), 1);
+        m.flip_bit(PhysAddr(PAGE_SIZE), 0);
+        assert_eq!(m.flip_epoch(), 2);
     }
 
     #[test]

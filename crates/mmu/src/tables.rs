@@ -370,11 +370,18 @@ impl PageTables {
     /// idle-page-tracking primitive (§7.2). Returns `None` if unmapped.
     pub fn test_and_clear_accessed(&mut self, mem: &mut PhysMemory, va: VirtAddr) -> Option<bool> {
         let leaf = self.leaf(mem, va)?;
+        Some(Self::test_and_clear_leaf_accessed(mem, &leaf))
+    }
+
+    /// [`Self::test_and_clear_accessed`] through the entry a walk just
+    /// resolved, without walking again. `leaf` must come from a walk of
+    /// these tables since their last change.
+    pub fn test_and_clear_leaf_accessed(mem: &mut PhysMemory, leaf: &LeafInfo) -> bool {
         let was = leaf.pte.has(PteFlags::ACCESSED);
         if was {
-            Self::rewrite_leaf(mem, &leaf, leaf.pte.clear(PteFlags::ACCESSED));
+            Self::rewrite_leaf(mem, leaf, leaf.pte.clear(PteFlags::ACCESSED));
         }
-        Some(was)
+        was
     }
 }
 

@@ -6,16 +6,13 @@
 //! entries evicted; the paper's §5.3 also mentions TLB-based side channels).
 //!
 //! Each page size is a fully associative FIFO array. Every operation is
-//! O(1) and allocation-free once the array is warm: an open-addressed index
-//! (linear probing, fixed multiplicative hash) finds an entry by page
-//! number, a `VecDeque` keeps fill order, and invalidation leaves a stale
-//! FIFO tag behind instead of searching the queue. `std`'s hash maps are
-//! out (vlint D002): their per-process random seed would make slot
-//! placement, and with it [`Tlb::entries`] order, differ run to run.
+//! O(1) and allocation-free once the array is warm: a [`U64Map`] finds an
+//! entry by page number, a `VecDeque` keeps fill order, and invalidation
+//! leaves a stale FIFO tag behind instead of searching the queue.
 
 use std::collections::VecDeque;
 
-use vusion_mem::{FrameId, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
+use vusion_mem::{FrameId, U64Map, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
 
 use crate::pte::Pte;
 
@@ -31,43 +28,16 @@ pub struct TlbEntry {
     pub huge: bool,
 }
 
-/// Fibonacci hashing multiplier (2^64 / golden ratio). Fixed, so slot
-/// placement is a pure function of the keys.
-const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Index size of an empty array; it doubles whenever it would pass half
-/// full, so it never exceeds four times the entries it has held.
-const MIN_SLOTS: usize = 8;
-
-/// One index slot. `seq == 0` marks it empty.
-#[derive(Clone, Copy)]
-struct Slot {
-    key: u64,
-    /// Fill sequence number of the FIFO tag that owns this entry.
-    seq: u64,
-    pte: Pte,
-}
-
-impl Slot {
-    const EMPTY: Slot = Slot {
-        key: 0,
-        seq: 0,
-        pte: Pte::EMPTY,
-    };
-}
-
-/// The entries of one page size: contents in `slots`, fill order in
+/// The entries of one page size: contents in `index`, fill order in
 /// `fifo`.
 struct FifoArray {
     cap: usize,
-    /// Open-addressed index, power-of-two length, at most half full.
-    slots: Vec<Slot>,
-    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
-    shift: u32,
-    live: usize,
+    /// Page number → `(seq, pte)`, where `seq` is the fill sequence
+    /// number of the FIFO tag that owns the entry.
+    index: U64Map<(u64, Pte)>,
     /// `(key, seq)` per fill, oldest first. A tag is stale once its key
-    /// was invalidated (the slot is gone, or a later fill owns it under a
-    /// newer `seq`); eviction skips stale tags.
+    /// was invalidated (the entry is gone, or a later fill owns it under
+    /// a newer `seq`); eviction skips stale tags.
     fifo: VecDeque<(u64, u64)>,
     next_seq: u64,
 }
@@ -76,63 +46,28 @@ impl FifoArray {
     fn new(cap: usize) -> Self {
         Self {
             cap,
-            slots: vec![Slot::EMPTY; MIN_SLOTS],
-            shift: 64 - MIN_SLOTS.trailing_zeros(),
-            live: 0,
+            index: U64Map::new(),
             fifo: VecDeque::new(),
             next_seq: 0,
         }
     }
 
-    fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(HASH_MUL) >> self.shift) as usize
-    }
-
-    /// `Ok(slot)` holding `key`, or `Err(slot)` where it would go. The
-    /// index is never full, so the probe always ends.
-    fn find(&self, key: u64) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let s = &self.slots[i];
-            if s.seq == 0 {
-                return Err(i);
-            }
-            if s.key == key {
-                return Ok(i);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
     fn get(&self, key: u64) -> Option<Pte> {
-        self.find(key).ok().map(|i| self.slots[i].pte)
+        self.index.get(key).map(|&(_, pte)| pte)
     }
 
     /// Inserts or overwrites `key`; a new key past capacity evicts the
     /// oldest live entry and returns its PTE. An overwrite keeps its FIFO
     /// position.
     fn fill(&mut self, key: u64, pte: Pte) -> Option<Pte> {
-        if (self.live + 1) * 2 > self.slots.len() {
-            self.grow();
+        let (entry, inserted) = self.index.get_or_insert(key, (self.next_seq + 1, pte));
+        if !inserted {
+            entry.1 = pte;
+            return None;
         }
-        match self.find(key) {
-            Ok(i) => {
-                self.slots[i].pte = pte;
-                return None;
-            }
-            Err(i) => {
-                self.next_seq += 1;
-                self.slots[i] = Slot {
-                    key,
-                    seq: self.next_seq,
-                    pte,
-                };
-                self.fifo.push_back((key, self.next_seq));
-                self.live += 1;
-            }
-        }
-        if self.live > self.cap {
+        self.next_seq += 1;
+        self.fifo.push_back((key, self.next_seq));
+        if self.index.len() > self.cap {
             return self.evict_oldest();
         }
         // Stale tags only pile up when invalidations outpace evictions;
@@ -140,23 +75,24 @@ impl FifoArray {
         // amortized per fill.
         if self.fifo.len() / 2 > self.cap {
             let mut fifo = std::mem::take(&mut self.fifo);
-            fifo.retain(|&(key, seq)| self.live_slot(key, seq).is_some());
+            fifo.retain(|&(key, seq)| self.live(key, seq).is_some());
             self.fifo = fifo;
         }
         None
     }
 
-    /// The slot of the entry FIFO tag `(key, seq)` stands for, unless the
+    /// The PTE of the entry FIFO tag `(key, seq)` stands for, unless the
     /// tag is stale.
-    fn live_slot(&self, key: u64, seq: u64) -> Option<usize> {
-        self.find(key).ok().filter(|&i| self.slots[i].seq == seq)
+    fn live(&self, key: u64, seq: u64) -> Option<Pte> {
+        self.index
+            .get(key)
+            .filter(|&&(s, _)| s == seq)
+            .map(|&(_, pte)| pte)
     }
 
     fn evict_oldest(&mut self) -> Option<Pte> {
         while let Some((key, seq)) = self.fifo.pop_front() {
-            if let Some(i) = self.live_slot(key, seq) {
-                let pte = self.slots[i].pte;
-                self.remove_at(i);
+            if let Some((_, pte)) = self.index.remove_if(key, |&(s, _)| s == seq) {
                 return Some(pte);
             }
         }
@@ -164,66 +100,28 @@ impl FifoArray {
     }
 
     fn invalidate(&mut self, key: u64) {
-        if let Ok(i) = self.find(key) {
-            self.remove_at(i);
-        }
-    }
-
-    /// Empties slot `hole` by backward-shift deletion: later entries of
-    /// the probe run move up, so no tombstones are needed.
-    fn remove_at(&mut self, mut hole: usize) {
-        let mask = self.slots.len() - 1;
-        let mut i = hole;
-        loop {
-            i = (i + 1) & mask;
-            let s = self.slots[i];
-            if s.seq == 0 {
-                break;
-            }
-            // `s` may fill the hole iff the hole lies on its probe path,
-            // cyclically between its home slot and `i`.
-            if (i.wrapping_sub(self.home(s.key)) & mask) >= (i.wrapping_sub(hole) & mask) {
-                self.slots[hole] = s;
-                hole = i;
-            }
-        }
-        self.slots[hole] = Slot::EMPTY;
-        self.live -= 1;
-    }
-
-    fn grow(&mut self) {
-        let doubled = vec![Slot::EMPTY; self.slots.len() * 2];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        self.shift -= 1;
-        for s in old.into_iter().filter(|s| s.seq != 0) {
-            if let Err(i) = self.find(s.key) {
-                self.slots[i] = s;
-            }
-        }
+        self.index.remove(key);
     }
 
     fn clear(&mut self) {
-        if self.live > 0 {
-            self.slots.fill(Slot::EMPTY);
-            self.live = 0;
-        }
+        self.index.clear();
         self.fifo.clear();
     }
 
     /// Live entries in slot order.
     fn resident(&self) -> impl Iterator<Item = Pte> + '_ {
-        self.slots.iter().filter(|s| s.seq != 0).map(|s| s.pte)
+        self.index.iter().map(|(_, &(_, pte))| pte)
     }
 
     /// Live entries, oldest first.
     fn in_fifo_order(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
         self.fifo
             .iter()
-            .filter_map(|&(key, seq)| Some((key, self.slots[self.live_slot(key, seq)?].pte)))
+            .filter_map(|&(key, seq)| Some((key, self.live(key, seq)?)))
     }
 
     fn save(&self, w: &mut vusion_snapshot::Writer) {
-        w.usize(self.live);
+        w.usize(self.index.len());
         for (key, pte) in self.in_fifo_order() {
             w.u64(key);
             w.u64(pte.0);
@@ -245,7 +143,7 @@ impl FifoArray {
         for _ in 0..n {
             let key = r.u64()?;
             let pte = Pte(r.u64()?);
-            if self.find(key).is_ok() {
+            if self.index.contains_key(key) {
                 return Err(SnapshotError::Corrupt("TLB entry duplicated"));
             }
             self.fill(key, pte);
