@@ -2,8 +2,8 @@
 //! trees (KSM's red-black tree, WPF's AVL tree), the scan-path tree lookup
 //! (hash-prefiltered find + insert, the shape every engine runs per page),
 //! the allocators (buddy / linear / randomized pool), TLB fills and LLC
-//! accesses, the end-to-end fault and TLB-miss paths, and full engine scans
-//! (KSM / WPF / VUsion).
+//! accesses, the end-to-end fault and TLB-miss paths, page-granular guest
+//! fills, and full engine scans (KSM / WPF / VUsion).
 //!
 //! Plain self-timed harness (no external benchmark framework): each case
 //! runs warm-up passes, then records per-sample wall-clock times and
@@ -279,6 +279,37 @@ fn bench_fault_path(out: &mut Vec<BenchResult>) {
             m.put_frame(f).expect("put");
         });
     }
+}
+
+/// The page-granular guest fills every image boot runs:
+/// `System::write_page` over 512 fresh pages (each sample fills the next
+/// 512-page slice of one VMA, so every page demand-faults first), then
+/// `System::read_page` over 512 mapped pages.
+fn bench_page_fill(out: &mut Vec<BenchResult>) {
+    use vusion_kernel::{NoFusion, System};
+    const PAGES: u64 = 512;
+    const BASE: u64 = 0x10000;
+    let slices = u64::from(WARMUP + SAMPLES);
+    let mut sys = System::new(Machine::new(MachineConfig::guest_2g_scaled()), NoFusion);
+    let pid = sys.machine.spawn("t").expect("spawn");
+    sys.machine.mmap(
+        pid,
+        Vma::anon(VirtAddr(BASE), slices * PAGES, Protection::rw()),
+    );
+    let content = vusion_mem::seeded_page(0x9a6e);
+    let mut slice = 0u64;
+    bench(out, "page_fill_write_512", || {
+        for i in 0..PAGES {
+            let va = VirtAddr(BASE + (slice * PAGES + i) * 4096);
+            sys.write_page(pid, va, &content);
+        }
+        slice += 1;
+    });
+    bench(out, "page_fill_read_512", || {
+        for i in 0..PAGES {
+            black_box(sys.read_page(pid, VirtAddr(BASE + i * 4096)));
+        }
+    });
 }
 
 /// Times the three engine scans, then — with timing done — enables the
@@ -630,6 +661,7 @@ fn main() {
     bench_tlb(&mut results);
     bench_llc(&mut results);
     bench_fault_path(&mut results);
+    bench_page_fill(&mut results);
     let metrics = bench_engine_scans(&mut results);
     bench_scan_cold(&mut results);
     bench_scan_throttled(&mut results);

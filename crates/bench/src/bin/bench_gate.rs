@@ -1,7 +1,8 @@
 //! CI bench-regression gate over `BENCH_micro.json`.
 //!
-//! Compares the fresh run's `scan_*`, `snapshot_*` and access-path
-//! substrate (`tlb_*`, `llc_*`, `demand_zero_*`) medians against the
+//! Compares the fresh run's `scan_*`, `snapshot_*`, access-path
+//! substrate (`tlb_*`, `llc_*`, `demand_zero_*`) and guest-fill
+//! (`page_fill_*`) medians against the
 //! `"baseline"` object (the previous committed run, which the micro
 //! harness moves there) and fails — exit code 1 — if any shared bench
 //! regressed by more than 25% *and* more than an absolute 50 µs. The dual
@@ -98,12 +99,19 @@ fn field_u64(obj: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Benches held to the ratio gate: engine scans, the snapshot seal, and
-/// the access-path substrate (TLB, LLC, demand-zero fault).
+/// Benches held to the ratio gate: engine scans, the snapshot seal, the
+/// access-path substrate (TLB, LLC, demand-zero fault) and page fills.
 fn is_gated(name: &str) -> bool {
-    ["scan_", "snapshot_", "tlb_", "llc_", "demand_zero_"]
-        .iter()
-        .any(|prefix| name.starts_with(prefix))
+    [
+        "scan_",
+        "snapshot_",
+        "tlb_",
+        "llc_",
+        "demand_zero_",
+        "page_fill_",
+    ]
+    .iter()
+    .any(|prefix| name.starts_with(prefix))
 }
 
 struct Row {

@@ -42,12 +42,24 @@ impl DramConfig {
     /// bank's next row is `banks` chunks later. This is a simplification of
     /// real DDR4 bank XOR functions but preserves the property attacks need:
     /// a deterministic, invertible map the attacker can learn.
+    ///
+    /// Shipped geometries are powers of two, where shifts and masks
+    /// replace the divisions on every DRAM access.
     pub fn locate(&self, addr: PhysAddr) -> DramLocation {
-        let chunk = addr.0 / self.row_size;
+        let Self { banks, row_size } = *self;
+        if banks.is_power_of_two() && row_size.is_power_of_two() {
+            let chunk = addr.0 >> row_size.trailing_zeros();
+            return DramLocation {
+                bank: chunk & (banks - 1),
+                row: chunk >> banks.trailing_zeros(),
+                col: addr.0 & (row_size - 1),
+            };
+        }
+        let chunk = addr.0 / row_size;
         DramLocation {
-            bank: chunk % self.banks,
-            row: chunk / self.banks,
-            col: addr.0 % self.row_size,
+            bank: chunk % banks,
+            row: chunk / banks,
+            col: addr.0 % row_size,
         }
     }
 
@@ -178,6 +190,44 @@ mod tests {
         for a in [0u64, 4096, 8192, 65536, 1 << 20, (1 << 20) + 777] {
             let loc = cfg.locate(PhysAddr(a));
             assert_eq!(cfg.address_of(loc), PhysAddr(a));
+        }
+    }
+
+    #[test]
+    fn locate_by_shift_and_mask_matches_division() {
+        let geometries = [
+            DramConfig::ddr4(),
+            DramConfig::single_bank(),
+            DramConfig {
+                banks: 16,
+                row_size: 4096,
+            },
+            // Off the shift-and-mask path.
+            DramConfig {
+                banks: 6,
+                row_size: 8192,
+            },
+            DramConfig {
+                banks: 8,
+                row_size: 6000,
+            },
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for cfg in geometries {
+            for i in 0..4096u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let a = if i < 64 { i * 4093 } else { x >> 20 };
+                let chunk = a / cfg.row_size;
+                let by_division = DramLocation {
+                    bank: chunk % cfg.banks,
+                    row: chunk / cfg.banks,
+                    col: a % cfg.row_size,
+                };
+                assert_eq!(cfg.locate(PhysAddr(a)), by_division, "{cfg:?} at {a:#x}");
+                assert_eq!(cfg.address_of(by_division), PhysAddr(a));
+            }
         }
     }
 

@@ -22,6 +22,12 @@ use crate::clock::{CostModel, Jitter, SimClock};
 use crate::journal::JournalEvent;
 use crate::process::Process;
 
+/// Bytes per line of a page-wise access ([`Machine::page_run`]).
+pub(crate) const LINE_SIZE: u64 = 64;
+
+/// Lines per 4 KiB page.
+pub(crate) const PAGE_LINES: u64 = PAGE_SIZE / LINE_SIZE;
+
 /// Process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(pub usize);
@@ -932,6 +938,54 @@ impl Machine {
         }
     }
 
+    /// Whether a leaf entry lets `kind` proceed without a fault: present,
+    /// not trapped and, for a store, writable.
+    fn permits(pte: Pte, kind: AccessKind) -> bool {
+        pte.is_present()
+            && !pte.is_trapped()
+            && (kind == AccessKind::Read || pte.has(PteFlags::WRITABLE))
+    }
+
+    /// The quiet walk a TLB-hit store uses to set D|A: the TLB entry
+    /// carries no entry address, so the leaf is found again. `None` when
+    /// the tables no longer map `va`.
+    fn dirty_leaf(&self, pid: Pid, va: VirtAddr, huge: bool) -> Option<LeafInfo> {
+        let base = if huge { va.huge_base() } else { va.page_base() };
+        self.processes[pid.0].space.tables().leaf(&self.mem, base)
+    }
+
+    /// One access through a TLB entry `e` that permits it: the `cpu_op`
+    /// charge, a counted TLB hit, for a store the D|A rewrite of `dirty`
+    /// (the leaf [`Self::dirty_leaf`] found), then the data access. Both
+    /// [`Self::try_access`] and [`Self::page_run`] take this path, so a
+    /// TLB hit means the same thing to both.
+    #[inline(always)]
+    fn tlb_hit(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+        e: TlbEntry,
+        dirty: Option<&LeafInfo>,
+    ) -> PhysAddr {
+        self.charge(self.cfg.costs.cpu_op);
+        self.processes[pid.0].tlb.count_lookup(true);
+        if let Some(l) = dirty {
+            PageTables::rewrite_leaf(
+                &mut self.mem,
+                l,
+                l.pte.set(PteFlags::DIRTY | PteFlags::ACCESSED),
+            );
+        }
+        let leaf = LeafInfo {
+            pte: e.pte,
+            entry_addr: PhysAddr(0),
+            huge: e.huge,
+        };
+        let pa = Self::resolve_pa(&leaf, va);
+        self.phys_access(pa, e.pte.has(PteFlags::NO_CACHE));
+        pa
+    }
+
     /// Performs one timed access. On success the data access is charged and
     /// ACCESSED/DIRTY bits are updated; on failure a [`PageFault`] is
     /// returned (fault entry cost is *not* yet charged — the System driver
@@ -942,20 +996,27 @@ impl Machine {
         va: VirtAddr,
         kind: AccessKind,
     ) -> Result<PhysAddr, PageFault> {
-        self.charge(self.cfg.costs.cpu_op);
         // TLB lookup. Trapped PTEs are never cached, so a hit is conclusive
-        // unless the access needs write permission the entry lacks.
-        let cached = self.processes[pid.0].tlb.lookup(va);
-        let (leaf, filled_from_tlb) = match cached {
-            Some(e) => (
-                Some(LeafInfo {
-                    pte: e.pte,
-                    entry_addr: PhysAddr(0),
-                    huge: e.huge,
-                }),
-                true,
-            ),
-            None => (self.walk_timed(pid, va), false),
+        // unless the access needs write permission the entry lacks. A hit
+        // skips the walk's A update like real TLBs do; a store still sets
+        // D|A in the tables (first write after a read fill).
+        let cached = self.processes[pid.0].tlb.peek(va);
+        if let Some(e) = cached.filter(|e| Self::permits(e.pte, kind)) {
+            let dirty = match kind {
+                AccessKind::Write => self.dirty_leaf(pid, va, e.huge),
+                AccessKind::Read => None,
+            };
+            return Ok(self.tlb_hit(pid, va, e, dirty.as_ref()));
+        }
+        self.charge(self.cfg.costs.cpu_op);
+        self.processes[pid.0].tlb.count_lookup(cached.is_some());
+        let leaf = match cached {
+            Some(e) => Some(LeafInfo {
+                pte: e.pte,
+                entry_addr: PhysAddr(0),
+                huge: e.huge,
+            }),
+            None => self.walk_timed(pid, va),
         };
         let Some(leaf) = leaf else {
             self.stats.faults_not_mapped += 1;
@@ -994,44 +1055,26 @@ impl Machine {
                 reason: FaultReason::WriteProtected,
             });
         }
-        // Success: update A/D bits (hardware does this during the walk; the
-        // TLB-hit case skips the PTE write like real TLBs skip A updates).
-        if !filled_from_tlb {
-            let mut pte = leaf.pte.set(PteFlags::ACCESSED);
-            if kind == AccessKind::Write {
-                pte = pte.set(PteFlags::DIRTY);
-            }
-            // The walk above just resolved this leaf: write it in place.
-            PageTables::rewrite_leaf(&mut self.mem, &leaf, pte);
-            let evicted = self.processes[pid.0].tlb.fill(
-                va,
-                TlbEntry {
-                    pte,
-                    huge: leaf.huge,
-                },
-            );
-            if self.obs.surface_enabled() {
-                let fused = self.frame_fused(pte.frame());
-                self.obs.surface_mut().record_tlb_fill(fused);
-                if let Some(e) = evicted {
-                    let victim_fused = self.frame_fused(e.pte.frame());
-                    self.obs.surface_mut().record_tlb_eviction(victim_fused);
-                }
-            }
-        } else if kind == AccessKind::Write {
-            // Set the dirty bit through a quiet walk (first write after a
-            // read fill); the TLB entry carries no entry address.
-            let base = if leaf.huge {
-                va.huge_base()
-            } else {
-                va.page_base()
-            };
-            if let Some(l) = self.processes[pid.0].space.tables().leaf(&self.mem, base) {
-                PageTables::rewrite_leaf(
-                    &mut self.mem,
-                    &l,
-                    l.pte.set(PteFlags::DIRTY | PteFlags::ACCESSED),
-                );
+        // Success after a walk (a permitting TLB hit returned above):
+        // update A/D bits in the entry the walk just resolved, and fill.
+        let mut pte = leaf.pte.set(PteFlags::ACCESSED);
+        if kind == AccessKind::Write {
+            pte = pte.set(PteFlags::DIRTY);
+        }
+        PageTables::rewrite_leaf(&mut self.mem, &leaf, pte);
+        let evicted = self.processes[pid.0].tlb.fill(
+            va,
+            TlbEntry {
+                pte,
+                huge: leaf.huge,
+            },
+        );
+        if self.obs.surface_enabled() {
+            let fused = self.frame_fused(pte.frame());
+            self.obs.surface_mut().record_tlb_fill(fused);
+            if let Some(e) = evicted {
+                let victim_fused = self.frame_fused(e.pte.frame());
+                self.obs.surface_mut().record_tlb_eviction(victim_fused);
             }
         }
         let pa = Self::resolve_pa(&leaf, va);
@@ -1052,6 +1095,62 @@ impl Machine {
         self.stats.writes += 1;
         self.mem.write_byte(pa, value);
         Ok(())
+    }
+
+    /// A page run: the timed line accesses `from..64` of the page at
+    /// `base` — stores of `content`'s byte at each line's offset, or reads
+    /// when `content` is `None` — performed while the page's translation
+    /// is a TLB hit that permits the access and the clock is below
+    /// `deadline_ns`. Each line is exactly a TLB-hit [`Self::read`] or
+    /// [`Self::write`]: its own jittered charge, counted hit, D|A rewrite,
+    /// data access and counter. Nothing in a run can change the
+    /// translation, so the TLB is probed and the leaf a store dirties is
+    /// walked once per run. Returns the first line not performed; the
+    /// caller takes that line through the faulting path.
+    pub(crate) fn page_run(
+        &mut self,
+        pid: Pid,
+        base: VirtAddr,
+        from: u64,
+        content: Option<&[u8; PAGE_SIZE as usize]>,
+        deadline_ns: u64,
+    ) -> u64 {
+        let kind = match content {
+            Some(_) => AccessKind::Write,
+            None => AccessKind::Read,
+        };
+        let Some(e) = self.processes[pid.0]
+            .tlb
+            .peek(base)
+            .filter(|e| Self::permits(e.pte, kind))
+        else {
+            return from;
+        };
+        let dirty = match kind {
+            AccessKind::Write => self.dirty_leaf(pid, base, e.huge),
+            AccessKind::Read => None,
+        };
+        let mut line = from;
+        while line < PAGE_LINES && self.clock.now_ns() < deadline_ns {
+            let offset = line * LINE_SIZE;
+            let pa = self.tlb_hit(pid, VirtAddr(base.0 + offset), e, dirty.as_ref());
+            match content {
+                Some(c) => {
+                    self.stats.writes += 1;
+                    self.mem.write_byte(pa, c[offset as usize]);
+                }
+                None => self.stats.reads += 1,
+            }
+            line += 1;
+        }
+        line
+    }
+
+    /// Where a guest store to `va` lands without faulting: the address
+    /// its leaf maps, if the leaf is present, untrapped and writable.
+    pub fn store_target(&self, pid: Pid, va: VirtAddr) -> Option<PhysAddr> {
+        let leaf = self.leaf(pid, va)?;
+        Self::permits(leaf.pte, AccessKind::Write).then(|| Self::resolve_pa(&leaf, va))
     }
 
     /// The x86 `prefetch` instruction: never faults. Loads the line into

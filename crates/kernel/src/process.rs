@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use vusion_mem::{FrameId, MmError, PhysAddr, PhysMemory, VirtAddr, PAGE_SIZE};
+use vusion_mem::{seeded_page, FrameId, MmError, PhysAddr, PhysMemory, VirtAddr, PAGE_SIZE};
 use vusion_mmu::{AddressSpace, Tlb};
 
 /// A simulated process.
@@ -40,22 +40,11 @@ impl Process {
     /// `(file_id, offset)` pair yields the same bytes in every process —
     /// shared base images produce cross-VM duplicate pages.
     pub fn file_page_content(file_id: u64, offset_pages: u64) -> [u8; PAGE_SIZE as usize] {
-        let mut out = [0u8; PAGE_SIZE as usize];
-        let mut state = file_id
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(offset_pages.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-            | 1;
-        for chunk in out.chunks_mut(8) {
-            // xorshift64*
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let v = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
-            for (i, b) in chunk.iter_mut().enumerate() {
-                *b = (v >> (8 * i)) as u8;
-            }
-        }
-        out
+        seeded_page(
+            file_id
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(offset_pages.wrapping_mul(0xbf58_476d_1ce4_e5b9)),
+        )
     }
 
     /// Loads a file page into the page cache, materializing content on

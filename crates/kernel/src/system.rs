@@ -11,7 +11,7 @@ use vusion_snapshot::{Reader, SnapshotError, Writer};
 
 use crate::journal::JournalEvent;
 use crate::khugepaged::Khugepaged;
-use crate::machine::{FaultReason, Machine, PageFault, Pid};
+use crate::machine::{FaultReason, Machine, PageFault, Pid, LINE_SIZE, PAGE_LINES};
 use crate::policy::{FusionPolicy, ScanReport};
 use crate::pressure::{PressureBand, PressureConfig, PressureGovernor};
 
@@ -362,6 +362,39 @@ impl<P: FusionPolicy> System<P> {
         self.machine.clflush(pid, va);
     }
 
+    /// The earliest background deadline: until the clock reaches it,
+    /// [`Self::background`] has nothing to run.
+    fn background_deadline(&self) -> u64 {
+        match self.khugepaged {
+            Some(_) => self.next_scan_ns.min(self.next_khuge_ns),
+            None => self.next_scan_ns,
+        }
+    }
+
+    /// The 64 timed line accesses of the page at `base`: stores of
+    /// `content`'s byte at each line's offset, or reads when `content` is
+    /// `None`. A line goes through [`Self::read`]/[`Self::write`], which
+    /// run due background work and resolve faults; the lines after it go
+    /// as one [`Machine::page_run`] up to the next background deadline,
+    /// and the line that stops a run starts the next round.
+    fn page_lines(&mut self, pid: Pid, base: VirtAddr, content: Option<&[u8; PAGE_SIZE as usize]>) {
+        let mut line = 0;
+        while line < PAGE_LINES {
+            let offset = line * LINE_SIZE;
+            let va = VirtAddr(base.0 + offset);
+            match content {
+                Some(c) => self.write(pid, va, c[offset as usize]),
+                None => {
+                    self.read(pid, va);
+                }
+            }
+            let deadline = self.background_deadline();
+            line = self
+                .machine
+                .page_run(pid, base, line + 1, content, deadline);
+        }
+    }
+
     /// Reads a whole page with realistic timing: a faulting first access,
     /// then one access per remaining cache line.
     pub fn read_page(&mut self, pid: Pid, va: VirtAddr) -> [u8; PAGE_SIZE as usize] {
@@ -369,10 +402,7 @@ impl<P: FusionPolicy> System<P> {
         // One composite event; the inner byte reads must not re-journal.
         self.machine.record(|| JournalEvent::ReadPage { pid, va });
         self.machine.suspend_journal();
-        self.read(pid, base);
-        for line in 1..(PAGE_SIZE / 64) {
-            self.read(pid, VirtAddr(base.0 + line * 64));
-        }
+        self.page_lines(pid, base, None);
         self.machine.resume_journal();
         match self.machine.translate_quiet(pid, base) {
             Some(pa) => *self.machine.mem().page(pa.frame()),
@@ -393,20 +423,16 @@ impl<P: FusionPolicy> System<P> {
             content: Box::new(*content),
         });
         self.machine.suspend_journal();
-        self.write(pid, base, content[0]);
-        for line in 1..(PAGE_SIZE / 64) {
-            self.write(
-                pid,
-                VirtAddr(base.0 + line * 64),
-                content[(line * 64) as usize],
-            );
-        }
+        self.page_lines(pid, base, Some(content));
         self.machine.resume_journal();
-        if let Some(pa) = self.machine.translate_quiet(pid, base) {
+        // Only a frame the guest can store to takes the content. A page
+        // left unmapped (OOM during demand paging), write-protected (a
+        // CoW break that could not allocate) or trapped drops the store
+        // like the failed line stores above — a shared frame must never
+        // change under its other owners.
+        if let Some(pa) = self.machine.store_target(pid, base) {
             self.machine.mem_mut().write_page(pa.frame(), content);
         }
-        // Else: the page never got mapped (OOM during demand paging); the
-        // store is dropped like the byte-wise writes above.
     }
 
     /// Lets simulated time pass, running background daemons on schedule.

@@ -43,7 +43,7 @@ pub use fault::{
 };
 pub use frame::{FrameInfo, FrameState, PageType};
 pub use linear::LinearAllocator;
-pub use phys::{content_hash, FrameInfoMut, PhysMemory};
+pub use phys::{content_hash, seeded_page, FrameInfoMut, PhysMemory};
 pub use random_pool::RandomPool;
 pub use table::U64Map;
 

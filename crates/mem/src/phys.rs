@@ -31,6 +31,21 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     vusion_snapshot::xxh64(bytes)
 }
 
+/// A page of xorshift64* output seeded with `seed | 1`, one word per
+/// 8 bytes, stored little-endian: the deterministic content of simulated
+/// file pages and labeled workload pages.
+pub fn seeded_page(seed: u64) -> [u8; PAGE_SIZE as usize] {
+    let mut page = [0u8; PAGE_SIZE as usize];
+    let mut state = seed | 1;
+    for word in page.chunks_exact_mut(8) {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        word.copy_from_slice(&state.wrapping_mul(0x2545_f491_4f6c_dd1d).to_le_bytes());
+    }
+    page
+}
+
 const ZERO_PAGE_HASH: u64 = vusion_snapshot::xxh64(&ZERO_PAGE);
 
 const ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
@@ -265,13 +280,17 @@ impl PhysMemory {
         self.touch(i);
     }
 
-    /// Overwrites a frame's entire content.
+    /// Overwrites a frame's entire content, in place when the frame is
+    /// already materialized.
     pub fn write_page(&mut self, frame: FrameId, bytes: &[u8; PAGE_SIZE as usize]) {
         let i = self.idx(frame);
         if page_is_zero(bytes) {
             self.data[i] = None;
         } else {
-            self.data[i] = Some(Box::new(*bytes));
+            match &mut self.data[i] {
+                Some(page) => page.copy_from_slice(bytes),
+                slot => *slot = Some(Box::new(*bytes)),
+            }
         }
         self.touch(i);
     }
@@ -860,6 +879,37 @@ mod tests {
         m.write_byte(PhysAddr(0), 7);
         m.write_page(FrameId(0), &[0; PAGE_SIZE as usize]);
         assert!(m.is_zero(FrameId(0)));
+    }
+
+    #[test]
+    fn write_page_overwrites_a_materialized_frame_in_place() {
+        let mut m = PhysMemory::new(2);
+        m.write_byte(PhysAddr(5), 7);
+        let stale = m.hash_page(FrameId(0));
+        let content = seeded_page(3);
+        m.write_page(FrameId(0), &content);
+        assert_eq!(m.page(FrameId(0)), &content);
+        assert_ne!(m.hash_page(FrameId(0)), stale, "memo invalidated");
+        m.write_page(FrameId(1), &content);
+        assert!(m.pages_equal(FrameId(0), FrameId(1)));
+    }
+
+    #[test]
+    fn seeded_page_matches_bytewise_xorshift() {
+        for seed in [0u64, 1, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+            let mut want = [0u8; PAGE_SIZE as usize];
+            let mut state = seed | 1;
+            for chunk in want.chunks_mut(8) {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                let v = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
+                for (i, b) in chunk.iter_mut().enumerate() {
+                    *b = (v >> (8 * i)) as u8;
+                }
+            }
+            assert_eq!(seeded_page(seed), want, "seed {seed:#x}");
+        }
     }
 
     #[test]

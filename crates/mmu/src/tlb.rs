@@ -188,19 +188,32 @@ impl Tlb {
 
     /// Looks up `va`; counts a hit or miss.
     pub fn lookup(&mut self, va: VirtAddr) -> Option<TlbEntry> {
-        let hit = match self.huge.get(va.0 / HUGE_PAGE_SIZE) {
+        let hit = self.peek(va);
+        self.count_lookup(hit.is_some());
+        hit
+    }
+
+    /// Looks up `va` without counting it. A caller that acts on the
+    /// result counts it with [`Self::count_lookup`]; one that only
+    /// probes (a page run deciding whether it may start) does not.
+    pub fn peek(&self, va: VirtAddr) -> Option<TlbEntry> {
+        match self.huge.get(va.0 / HUGE_PAGE_SIZE) {
             Some(pte) => Some(TlbEntry { pte, huge: true }),
             None => self
                 .small
                 .get(va.page())
                 .map(|pte| TlbEntry { pte, huge: false }),
-        };
-        if hit.is_some() {
+        }
+    }
+
+    /// Counts one lookup as a hit or a miss: the counting half of
+    /// [`Self::lookup`], for an entry already found by [`Self::peek`].
+    pub fn count_lookup(&mut self, hit: bool) {
+        if hit {
             self.hits += 1;
         } else {
             self.misses += 1;
         }
-        hit
     }
 
     /// Inserts a translation after a successful walk; returns the entry a

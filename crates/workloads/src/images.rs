@@ -9,25 +9,14 @@
 //! guest's memory for fusion the way KVM registers guest RAM with KSM.
 
 use vusion_kernel::{FusionPolicy, Pid, System};
-use vusion_mem::{VirtAddr, PAGE_SIZE};
+use vusion_mem::{seeded_page, VirtAddr, PAGE_SIZE};
 use vusion_mmu::{GuestTag, Protection, Vma};
 use vusion_rng::rngs::StdRng;
 use vusion_rng::{RngExt, SeedableRng};
 
 /// Page content with a recognizable label (shared helper).
 pub fn labeled_page(label: u64) -> [u8; PAGE_SIZE as usize] {
-    let mut p = [0u8; PAGE_SIZE as usize];
-    let mut state = label.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    for chunk in p.chunks_mut(8) {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        let v = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
-        for (i, b) in chunk.iter_mut().enumerate() {
-            *b = (v >> (8 * i)) as u8;
-        }
-    }
-    p
+    seeded_page(label.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// Description of a VM image.

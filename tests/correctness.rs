@@ -176,3 +176,54 @@ fn heavy_churn_converges_and_preserves_contents() {
         }
     }
 }
+
+/// A `write_page` whose every store fails drops its content like the
+/// failed stores. Under KSM and WPF the page stays mapped read-only onto
+/// the merged frame when the CoW break cannot allocate; installing the
+/// content there anyway would hand the writer's bytes to the other owner
+/// (a cross-guest leak) and change a tree frame behind the engine's back.
+#[test]
+fn failed_write_page_leaves_the_shared_frame_alone() {
+    let old = [7u8; PAGE_SIZE as usize];
+    for kind in [EngineKind::Ksm, EngineKind::Wpf, EngineKind::VUsion] {
+        let plan = FaultPlan::alloc_prob(1.0).expect("valid plan");
+        let mut sys = kind.build_system(MachineConfig::test_small().with_fault_plan(plan));
+        let pids: Vec<Pid> = ["a", "b"]
+            .iter()
+            .map(|n| sys.machine.spawn(n).expect("spawn"))
+            .collect();
+        for &pid in &pids {
+            sys.machine
+                .mmap(pid, Vma::anon(VirtAddr(BASE), 1, Protection::rw()));
+            sys.machine.madvise_mergeable(pid, VirtAddr(BASE), 1);
+            sys.write_page(pid, VirtAddr(BASE), &old);
+        }
+        sys.force_scans(50);
+        let backing = |sys: &System<Box<dyn FusionPolicy>>, pid| {
+            sys.machine
+                .translate_quiet(pid, VirtAddr(BASE))
+                .expect("mapped")
+                .frame()
+        };
+        let shared = backing(&sys, pids[1]);
+        sys.machine.arm_faults();
+        let unresolved = sys.stats().unresolved_faults;
+        sys.write_page(pids[0], VirtAddr(BASE), &[9; PAGE_SIZE as usize]);
+        if kind != EngineKind::VUsion {
+            assert_eq!(backing(&sys, pids[0]), shared, "{kind:?}: not merged");
+            assert_eq!(
+                sys.stats().unresolved_faults - unresolved,
+                64,
+                "{kind:?}: every store must fail"
+            );
+        }
+        assert!(
+            sys.machine.mem().page(shared) == &old,
+            "{kind:?}: the failed write landed in the shared frame"
+        );
+        assert!(
+            sys.read_page(pids[1], VirtAddr(BASE)) == old,
+            "{kind:?}: the other owner reads the failed write"
+        );
+    }
+}
